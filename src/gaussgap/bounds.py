@@ -101,7 +101,7 @@ def gap_lower_bound(spec: MomentSpec) -> GapLowerBound:
         case = BoundCase.SAME_SIGN_MAIN
         log_scale += (math.lgamma(0.5 * (a1 + 1.0))
                       + math.lgamma(0.5 * (a2 + 1.0)) - _LOG_2PI)
-    value = a1 * a2 * spec.rho * spec.rho * math.exp(log_scale)
+    value = a1 * a2 * spec.rho * spec.rho * moments.exp_of_log(log_scale)
     return GapLowerBound(value, case)
 
 
@@ -112,7 +112,8 @@ def _envelope_coefficient(spec: MomentSpec) -> float:
                  + a1 * math.log(spec.sigma1) + a2 * math.log(spec.sigma2)
                  + math.lgamma(0.5 * (a1 + 1.0))
                  + math.lgamma(0.5 * (a2 + 1.0)) - _LOG_2PI)
-    return a1 * a2 * spec.rho * spec.rho * math.exp(log_scale) + 0.0
+    return (a1 * a2 * spec.rho * spec.rho * moments.exp_of_log(log_scale)
+            + 0.0)
 
 
 def gap_envelope(spec: MomentSpec) -> GapEnvelope:

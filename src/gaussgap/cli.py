@@ -7,7 +7,8 @@ bound values along a rho sweep, as CSV), and ``selftest`` (identity
 suites).
 
 Exit codes: 0 success, 1 inequality or identity violation, 2 invalid
-arguments, 3 numerical convergence or accuracy failure.  Diagnostics and
+arguments, 3 numerical convergence or accuracy failure (for ``verify``:
+every row errored).  Diagnostics and
 machine-readable error objects go to stderr; results go to stdout or the
 ``--output`` file.
 """
@@ -20,7 +21,7 @@ import math
 import os
 import sys
 
-from . import moments, oracles, selftest, special, verify
+from . import moments, oracles, selftest, verify
 from .errors import (AccuracyError, ConvergenceError, DomainError,
                      GaussGapError, InfiniteVarianceError,
                      SeriesDivergenceError)
@@ -68,8 +69,8 @@ def cmd_moment(args) -> int:
             value = moments.product_moment_rho_one(spec)
             error = 0.0
         else:
-            series = special.hyp2f1(-0.5 * spec.alpha1, -0.5 * spec.alpha2,
-                                    0.5, spec.rho * spec.rho)
+            series = moments.correlation_factor(
+                spec.alpha1, spec.alpha2, spec.rho * spec.rho, False)
             prefactor = moments.product_of_marginals(spec)
             value = prefactor * series.value
             error = prefactor * series.truncation_error_estimate
@@ -135,7 +136,11 @@ def cmd_verify(args) -> int:
                     "errored={errored} oracle_mismatches={oracle_mismatches}"
                     .format(**summary))
     print(summary_line, file=sys.stdout if close_it else sys.stderr)
-    return EXIT_VIOLATION if summary["violations"] else EXIT_OK
+    if summary["violations"]:
+        return EXIT_VIOLATION
+    if summary["errored"] == summary["checked"] > 0:
+        return EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 def cmd_curve(args) -> int:

@@ -13,12 +13,17 @@ product moment over the product of the marginal moments; it is computed
 as P * (F - 1) with the F - 1 series summed directly from its first term,
 never as a difference of two large moments.
 
+Sigma enters only through the prefactor P and rho only through rho^2, so
+the series factor is summed once per (alpha1, alpha2, rho^2) per process
+(``correlation_factor``) and reused across scales and correlation signs.
+
 Prefactors are assembled in log space so large exponents (alpha ~ 50)
-survive without overflow.
+survive without overflow; beyond float range they raise ``DomainError``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from . import special
@@ -26,6 +31,31 @@ from .errors import DomainError
 from .types import MomentSpec
 
 _LOG_PI = math.log(math.pi)
+
+
+def exp_of_log(log_value: float) -> float:
+    """exp(log_value), raising ``DomainError`` past the float64 range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"value exp({log_value:.6g}) overflows float64; "
+                          "exponents are too large") from None
+
+
+# Bounded, so a caller streaming distinct keys cannot grow it without
+# limit; the default verify grid uses 900 keys.
+@functools.lru_cache(maxsize=4096)
+def correlation_factor(alpha1: float, alpha2: float, z: float,
+                       minus_one: bool) -> special.SeriesResult:
+    """F(-alpha1/2, -alpha2/2; 1/2; z), or F - 1 when ``minus_one``.
+
+    This is the whole rho dependence of the moment, with z = rho^2 < 1.
+    Results are memoized per argument tuple (pass all four positionally,
+    so equal keys hash alike); a miss sums through the ``special`` module
+    attribute, and exceptions are not cached.
+    """
+    summed = special.hyp2f1_minus_one if minus_one else special.hyp2f1
+    return summed(-0.5 * alpha1, -0.5 * alpha2, 0.5, z)
 
 
 def abs_moment_1d(sigma: float, alpha: float) -> float:
@@ -36,7 +66,7 @@ def abs_moment_1d(sigma: float, alpha: float) -> float:
         raise DomainError(f"alpha must exceed -1, got {alpha}")
     log_val = (0.5 * alpha * math.log(2.0) + alpha * math.log(sigma)
                + math.lgamma(0.5 * (alpha + 1.0)) - 0.5 * _LOG_PI)
-    return math.exp(log_val)
+    return exp_of_log(log_val)
 
 
 def _log_prefactor(spec: MomentSpec) -> float:
@@ -51,7 +81,7 @@ def _log_prefactor(spec: MomentSpec) -> float:
 
 def product_of_marginals(spec: MomentSpec) -> float:
     """E[|X1|^alpha1] * E[|X2|^alpha2], independent of rho."""
-    return math.exp(_log_prefactor(spec))
+    return exp_of_log(_log_prefactor(spec))
 
 
 def product_moment(spec: MomentSpec) -> float:
@@ -59,8 +89,8 @@ def product_moment(spec: MomentSpec) -> float:
     if spec.degenerate:
         raise DomainError("product_moment requires |rho| < 1; "
                           "use product_moment_rho_one for |rho| = 1")
-    series = special.hyp2f1(-0.5 * spec.alpha1, -0.5 * spec.alpha2, 0.5,
-                            spec.rho * spec.rho)
+    series = correlation_factor(spec.alpha1, spec.alpha2, spec.rho * spec.rho,
+                                False)
     return product_of_marginals(spec) * series.value
 
 
@@ -100,10 +130,10 @@ def gap(spec: MomentSpec) -> float:
             return math.inf
         f_at_one = special.hyp2f1_at_one(-0.5 * spec.alpha1,
                                          -0.5 * spec.alpha2, 0.5)
-        return math.exp(_log_prefactor(spec)) * (f_at_one - 1.0)
-    tail = special.hyp2f1_minus_one(-0.5 * spec.alpha1, -0.5 * spec.alpha2,
-                                    0.5, spec.rho * spec.rho)
-    return math.exp(_log_prefactor(spec)) * tail.value
+        return product_of_marginals(spec) * (f_at_one - 1.0)
+    tail = correlation_factor(spec.alpha1, spec.alpha2, spec.rho * spec.rho,
+                              True)
+    return product_of_marginals(spec) * tail.value
 
 
 def gap_via_3f2(spec: MomentSpec) -> float:
@@ -120,4 +150,4 @@ def gap_via_3f2(spec: MomentSpec) -> float:
     series = special.hyp3f2(1.0 - 0.5 * spec.alpha1, 1.0 - 0.5 * spec.alpha2,
                             1.0, 1.5, 2.0, z)
     bracket = 0.5 * z * spec.alpha1 * spec.alpha2 * series.value
-    return math.exp(_log_prefactor(spec)) * bracket
+    return product_of_marginals(spec) * bracket

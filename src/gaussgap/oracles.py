@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,9 @@ class McConfig:
         if self.n_samples < 1000:
             raise DomainError(f"n_samples must be at least 1000, got "
                               f"{self.n_samples}")
-        if not 0 <= self.seed <= _MASK64:
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, numbers.Integral)
+                or not 0 <= self.seed <= _MASK64):
             raise DomainError("seed must be a 64-bit unsigned integer")
 
 

@@ -16,10 +16,7 @@ import numpy as np
 
 from . import bounds, moments, special
 from .types import MomentSpec
-
-SAME_SIGN_ALPHAS = (-0.9, -0.5, -0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5)
-RHO_GRID = (0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 0.95, -0.95)
-SIGMA_GRID = (0.5, 1.0, 2.0)
+from .verify import DEFAULT_ALPHAS, DEFAULT_RHOS, DEFAULT_SIGMAS
 
 
 @dataclass
@@ -44,8 +41,8 @@ class SuiteResult:
 
 
 def _same_sign_pairs():
-    for a1 in SAME_SIGN_ALPHAS:
-        for a2 in SAME_SIGN_ALPHAS:
+    for a1 in DEFAULT_ALPHAS:
+        for a2 in DEFAULT_ALPHAS:
             if a1 * a2 > 0:
                 yield a1, a2
 
@@ -131,9 +128,9 @@ def gap_dual_path_suite() -> SuiteResult:
     """The direct gap and its 3F2 reformulation must agree to 1e-10."""
     res = SuiteResult("gap-dual-path")
     for a1, a2 in _same_sign_pairs():
-        for rho in RHO_GRID:
-            for s1 in SIGMA_GRID:
-                for s2 in SIGMA_GRID:
+        for rho in DEFAULT_RHOS:
+            for s1 in DEFAULT_SIGMAS:
+                for s2 in DEFAULT_SIGMAS:
                     spec = MomentSpec(s1, s2, a1, a2, rho)
                     g1 = moments.gap(spec)
                     g2 = moments.gap_via_3f2(spec)

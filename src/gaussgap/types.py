@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -13,9 +14,10 @@ class MomentSpec:
 
     sigma1, sigma2 are the standard deviations of the two coordinates,
     alpha1, alpha2 the exponents applied to their absolute values, and rho
-    the correlation coefficient.  Exponents must exceed -1 for the moments
-    to be finite.  |rho| = 1 is admitted at construction time; operations
-    that require non-degeneracy enforce |rho| < 1 themselves.
+    the correlation coefficient.  Scales and exponents must be finite, and
+    exponents must exceed -1 for the moments to be finite.  |rho| = 1 is
+    admitted at construction time; operations that require non-degeneracy
+    enforce |rho| < 1 themselves.
     """
 
     sigma1: float
@@ -25,11 +27,11 @@ class MomentSpec:
     rho: float
 
     def __post_init__(self):
-        if not (self.sigma1 > 0 and self.sigma2 > 0):
-            raise DomainError(f"standard deviations must be positive, got "
-                              f"({self.sigma1}, {self.sigma2})")
-        if not (self.alpha1 > -1 and self.alpha2 > -1):
-            raise DomainError(f"exponents must exceed -1, got "
+        if not (0 < self.sigma1 < math.inf and 0 < self.sigma2 < math.inf):
+            raise DomainError(f"standard deviations must be finite and "
+                              f"positive, got ({self.sigma1}, {self.sigma2})")
+        if not (-1 < self.alpha1 < math.inf and -1 < self.alpha2 < math.inf):
+            raise DomainError(f"exponents must be finite and exceed -1, got "
                               f"({self.alpha1}, {self.alpha2})")
         if not abs(self.rho) <= 1:
             raise DomainError(f"correlation must lie in [-1, 1], got {self.rho}")

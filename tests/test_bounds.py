@@ -248,6 +248,20 @@ class TestCheckPoint:
         assert not rep.satisfied
         assert any(f.startswith("error:") for f in rep.flags)
 
+    @pytest.mark.parametrize("rho", [0.0, 0.5])
+    def test_overflowing_exponents_become_domain_error(self, rho):
+        # exp of the log prefactor leaves float range at alpha = 200
+        rep = check_point(MomentSpec(1, 1, 200, 200, rho))
+        assert rep.regime == "error"
+        assert not rep.satisfied
+        assert rep.flags[0].startswith("error:DomainError:")
+
+    def test_overflowing_bounds_raise_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            gap_lower_bound(MomentSpec(1, 1, 200, 200, 0.5))
+        with pytest.raises(DomainError, match="overflows"):
+            gap_envelope(MomentSpec(1, 1, -0.5, 400, 0.5))
+
     def test_degenerate_infinite_gap_vacuous(self):
         rep = check_point(MomentSpec(1, 1, -0.6, -0.5, 1.0))
         assert rep.satisfied

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussgap.errors import DomainError
-from gaussgap.moments import (abs_moment_1d, gap, gap_via_3f2, product_moment,
+from gaussgap import special
+from gaussgap.errors import ConvergenceError, DomainError
+from gaussgap.moments import (abs_moment_1d, correlation_factor, gap,
+                              gap_via_3f2, product_moment,
                               product_moment_rho_one, product_of_marginals)
 from gaussgap.types import MomentSpec
 
@@ -46,6 +48,10 @@ class TestAbsMoment1d:
     def test_large_exponent_survives(self):
         val = abs_moment_1d(1.0, 50.0)
         assert math.isfinite(val) and val > 1e30
+
+    def test_overflow_is_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            abs_moment_1d(1.0, 400.0)
 
 
 class TestProductOfMarginals:
@@ -193,6 +199,78 @@ class TestGap:
             assert all(d >= -1e-15 for d in diffs)
 
 
+class TestOverflow:
+    # log prefactor ~ 856 at alpha = 200, past float range
+    SPEC = MomentSpec(1, 1, 200, 200, 0.5)
+
+    @pytest.mark.parametrize("fn", [product_of_marginals, product_moment, gap,
+                                    gap_via_3f2])
+    def test_domain_error_not_overflow_error(self, fn):
+        with pytest.raises(DomainError, match="overflows"):
+            fn(self.SPEC)
+
+    def test_degenerate_route(self):
+        with pytest.raises(DomainError, match="overflows"):
+            gap(MomentSpec(1, 1, 200, 200, 1.0))
+
+
+class TestCorrelationFactor:
+    def test_values_are_the_series(self):
+        z = 0.5625
+        assert correlation_factor(1.5, -0.5, z, False) == \
+            special.hyp2f1(-0.75, 0.25, 0.5, z)
+        assert correlation_factor(1.5, -0.5, z, True) == \
+            special.hyp2f1_minus_one(-0.75, 0.25, 0.5, z)
+
+    def test_other_scale_or_sign_hits(self):
+        gap(MomentSpec(1, 1, 1.5, -0.5, 0.75))
+        product_moment(MomentSpec(1, 1, 1.5, -0.5, 0.75))
+        before = correlation_factor.cache_info()
+        assert (before.hits, before.misses) == (0, 2)
+        for s1, s2, rho in [(0.5, 2.0, 0.75), (2.0, 1.0, -0.75),
+                            (1.0, 1.0, -0.75)]:
+            gap(MomentSpec(s1, s2, 1.5, -0.5, rho))
+            product_moment(MomentSpec(s1, s2, 1.5, -0.5, rho))
+        after = correlation_factor.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 6
+
+    def test_miss_sums_through_module_attribute(self, monkeypatch):
+        calls = []
+        original = special.hyp2f1_minus_one
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(special, "hyp2f1_minus_one", counting)
+        first = gap(MomentSpec(1, 1, 1.0, 3.0, 0.5))
+        second = gap(MomentSpec(2, 1, 1.0, 3.0, -0.5))
+        assert calls == [(-0.5, -1.5, 0.5, 0.25)]
+        assert second == pytest.approx(2.0 * first, rel=1e-14)
+
+    def test_errors_are_not_cached(self, monkeypatch):
+        calls = []
+
+        def failing(a, b, c, z):
+            calls.append(z)
+            raise ConvergenceError(f"no convergence at z = {z}")
+
+        monkeypatch.setattr(special, "hyp2f1", failing)
+        spec = MomentSpec(1, 1, -0.3, -0.2, 0.5)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ConvergenceError) as info:
+                product_moment(spec)
+            messages.append(str(info.value))
+        assert messages == ["no convergence at z = 0.25"] * 2
+        assert calls == [0.25, 0.25]
+        assert correlation_factor.cache_info().currsize == 0
+
+    def test_bounded(self):
+        assert correlation_factor.cache_info().maxsize is not None
+
+
 class TestGapDualPath:
     def test_zero(self):
         assert gap_via_3f2(MomentSpec(1, 1, 1.2, 3.4, 0.0)) == 0.0
@@ -225,3 +303,12 @@ class TestSpecValidation:
     def test_bad_rho(self):
         with pytest.raises(DomainError):
             MomentSpec(1, 1, 1, 1, 1.2)
+
+    @pytest.mark.parametrize("fields", [
+        (math.inf, 1, 1, 1, 0.5), (1, math.inf, 1, 1, 0.5),
+        (math.nan, 1, 1, 1, 0.5), (1, 1, math.inf, 1, 0.5),
+        (1, 1, 1, math.inf, 0.5), (1, 1, math.nan, 1, 0.5),
+        (1, 1, 1, 1, math.nan)])
+    def test_non_finite_rejected(self, fields):
+        with pytest.raises(DomainError):
+            MomentSpec(*fields)

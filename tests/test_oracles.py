@@ -141,6 +141,15 @@ class TestMcProductMoment:
         with pytest.raises(DomainError):
             McConfig(999, 1)
 
+    @pytest.mark.parametrize("seed", [True, False, 1.0, 1.5, "7", None, -1,
+                                      2 ** 64])
+    def test_seed_must_be_unsigned_64_bit_int(self, seed):
+        with pytest.raises(DomainError):
+            McConfig(100_000, seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert McConfig(100_000, np.uint64(7)).seed == 7
+
     def test_coverage_over_seeded_runs(self):
         # 3-standard-error coverage should fail only rarely
         spec = MomentSpec(1, 1, 1, 1, 0.5)

@@ -124,6 +124,20 @@ class TestHyp2f1:
         assert abs(euler_transform(a, b, c, z) - direct) <= 1e-10 * abs(direct)
 
 
+class TestTruncationBoundAgainstReference:
+    @pytest.mark.xfail(strict=True, reason=(
+        "the stopping rule tests the size of a term, not of the tail, so "
+        "near z = 1 the reported bound understates the error"))
+    def test_bound_covers_error_near_one(self):
+        mpmath = pytest.importorskip("mpmath")
+        z = (1.0 - 1e-6) ** 2
+        res = hyp2f1(-0.5, -0.5, 0.5, z)
+        with mpmath.workdps(40):
+            exact = mpmath.hyp2f1(-0.5, -0.5, 0.5, mpmath.mpf(z))
+            error = float(abs(mpmath.mpf(res.value) - exact))
+        assert error <= res.truncation_error_estimate
+
+
 class TestHyp2f1AtOne:
     def test_gauss_summation_value(self):
         # also the arcsine series summed at its boundary

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from gaussgap import cli, special
+from gaussgap import cli, moments, special
 from gaussgap.types import MomentSpec
 from gaussgap.verify import (CSV_COLUMNS, OracleChoice, SweepConfig,
                              evaluate_point, row_to_csv_fields, row_to_dict,
@@ -48,6 +48,23 @@ class TestSweep:
         parallel, _ = run_sweep(config, jobs=3)
         assert [r.index for r in parallel] == list(range(len(serial)))
         assert serial == parallel
+
+    def test_cached_sweep_matches_cold_points(self):
+        # three scales and both signs of each |rho| share every series key
+        config = SweepConfig(alpha1_values=(-0.5, 1.0, 2.5),
+                             alpha2_values=(-0.9, 1.5),
+                             rho_values=(0.0, 0.5, -0.5, 0.95, -0.95),
+                             sigma1_values=(0.5, 2.0),
+                             sigma2_values=(1.0, 2.0))
+        rows, _ = run_sweep(config, jobs=1)
+        info = moments.correlation_factor.cache_info()
+        assert info.hits > info.misses > 0
+        cold = []
+        for i, spec in enumerate(config.grid()):
+            moments.correlation_factor.cache_clear()
+            cold.append(evaluate_point(spec, i, config.tolerance,
+                                       OracleChoice.NONE, 0, 0))
+        assert rows == cold
 
     def test_oracle_columns(self):
         config = SweepConfig(alpha1_values=(1.0,), alpha2_values=(1.0,),
@@ -156,6 +173,15 @@ class TestCliGap:
         assert record["regime"] == "same-sign"
         assert abs(record["gap"] - 0.08137578972087737) < 1e-12
 
+    def test_overflow_exits_three_without_traceback(self, capsys):
+        code, out, err = run_cli(["gap", "--alpha1", "200", "--alpha2", "200",
+                                  "--rho", "0.5"], capsys)
+        assert code == 3
+        record = json.loads(out.splitlines()[-1])
+        assert record["regime"] == "error"
+        assert record["flags"][0].startswith("error:DomainError:")
+        assert "Traceback" not in err
+
     def test_vacuous_flagged(self, capsys):
         code, out, _ = run_cli(["gap", "--alpha1", "-0.5", "--alpha2", "1",
                                 "--rho", "0.5"], capsys)
@@ -204,6 +230,20 @@ class TestCliVerify:
         assert code == 0
         assert "checked=8100" in out
         assert "violations=0" in out
+
+    def test_every_row_errored_exits_three(self, capsys):
+        code, _, err = run_cli(["verify", "--alpha1", "200", "--alpha2", "200",
+                                "--rho", "0,0.5", "--sigma1", "1",
+                                "--sigma2", "1", "--jobs", "1"], capsys)
+        assert code == 3
+        assert "checked=2 " in err and "errored=2 " in err
+
+    def test_partly_errored_exits_zero(self, capsys):
+        code, _, err = run_cli(["verify", "--alpha1", "1,200", "--alpha2",
+                                "200", "--rho", "0.5", "--sigma1", "1",
+                                "--sigma2", "1", "--jobs", "1"], capsys)
+        assert code == 0
+        assert "checked=2 " in err and "errored=1 " in err
 
     def test_bad_float_list(self, capsys):
         with pytest.raises(SystemExit) as exc:
