@@ -19,6 +19,7 @@ behave sensibly across many orders of magnitude.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,6 +81,22 @@ def _mixed_magnitude(a1: float, a2: float) -> bool:
     return (a1 > 2 and 0 < a2 < 2) or (a2 > 2 and 0 < a1 < 2)
 
 
+@functools.lru_cache(maxsize=4096)
+def _lower_bound_scale(sigma1: float, sigma2: float, a1: float,
+                       a2: float) -> tuple[float, BoundCase]:
+    """The rho-free factor of ``gap_lower_bound`` and its branch."""
+    log_scale = (0.5 * (a1 + a2) * math.log(2.0)
+                 + a1 * math.log(sigma1) + a2 * math.log(sigma2))
+    if _mixed_magnitude(a1, a2):
+        case = BoundCase.MIXED_MAGNITUDE
+        log_scale += math.lgamma(0.5 * (a1 + a2 - 1.0)) - _LOG_4_SQRT_PI
+    else:
+        case = BoundCase.SAME_SIGN_MAIN
+        log_scale += (math.lgamma(0.5 * (a1 + 1.0))
+                      + math.lgamma(0.5 * (a2 + 1.0)) - _LOG_2PI)
+    return moments.exp_of_log(log_scale), case
+
+
 def gap_lower_bound(spec: MomentSpec) -> GapLowerBound:
     """Explicit Gamma-form lower bound on the gap for same-sign exponents.
 
@@ -92,53 +109,64 @@ def gap_lower_bound(spec: MomentSpec) -> GapLowerBound:
         raise DomainError(
             "gap_lower_bound needs both exponents in (-1, 0) or both "
             f"positive, got ({a1}, {a2}); use gap_envelope for mixed signs")
-    log_scale = (0.5 * (a1 + a2) * math.log(2.0)
-                 + a1 * math.log(spec.sigma1) + a2 * math.log(spec.sigma2))
-    if _mixed_magnitude(a1, a2):
-        case = BoundCase.MIXED_MAGNITUDE
-        log_scale += math.lgamma(0.5 * (a1 + a2 - 1.0)) - _LOG_4_SQRT_PI
-    else:
-        case = BoundCase.SAME_SIGN_MAIN
-        log_scale += (math.lgamma(0.5 * (a1 + 1.0))
-                      + math.lgamma(0.5 * (a2 + 1.0)) - _LOG_2PI)
-    value = a1 * a2 * spec.rho * spec.rho * moments.exp_of_log(log_scale)
-    return GapLowerBound(value, case)
+    scale, case = _lower_bound_scale(spec.sigma1, spec.sigma2, a1, a2)
+    return GapLowerBound(a1 * a2 * spec.rho * spec.rho * scale, case)
 
 
-def _envelope_coefficient(spec: MomentSpec) -> float:
-    """Shared coefficient of both envelope endpoints; negative for rho != 0."""
-    a1, a2 = spec.alpha1, spec.alpha2
-    log_scale = (0.5 * (a1 + a2) * math.log(2.0)
-                 + a1 * math.log(spec.sigma1) + a2 * math.log(spec.sigma2)
-                 + math.lgamma(0.5 * (a1 + 1.0))
-                 + math.lgamma(0.5 * (a2 + 1.0)) - _LOG_2PI)
-    return (a1 * a2 * spec.rho * spec.rho * moments.exp_of_log(log_scale)
-            + 0.0)
+@functools.lru_cache(maxsize=4096)
+def _envelope_scale(sigma1: float, sigma2: float, a1: float,
+                    a2: float) -> float:
+    """The rho-free factor of the envelope coefficient, in canonical order.
+
+    Summed in one pass, not as ``_lower_bound_scale``'s main branch: the
+    two associate differently and may differ in the last bit.
+    """
+    return moments.exp_of_log(0.5 * (a1 + a2) * math.log(2.0)
+                              + a1 * math.log(sigma1) + a2 * math.log(sigma2)
+                              + math.lgamma(0.5 * (a1 + 1.0))
+                              + math.lgamma(0.5 * (a2 + 1.0)) - _LOG_2PI)
+
+
+@functools.lru_cache(maxsize=4096)
+def _envelope_g_at_one(a1: float, a2: float) -> float | None:
+    """F(1 - a1/2, 1 - a2/2; 3/2; 1), or None where it diverges."""
+    try:
+        return special.hyp2f1_at_one(1.0 - 0.5 * a1, 1.0 - 0.5 * a2, 1.5)
+    except SeriesDivergenceError:
+        return None
 
 
 def gap_envelope(spec: MomentSpec) -> GapEnvelope:
     """Two-sided gap bounds for one negative and one positive exponent."""
-    a1, a2 = spec.alpha1, spec.alpha2
-    swapped = False
-    if a2 < 0 < a1:
-        spec = MomentSpec(spec.sigma2, spec.sigma1, a2, a1, spec.rho)
-        a1, a2 = spec.alpha1, spec.alpha2
-        swapped = True
+    s1, s2, a1, a2 = spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2
+    swapped = a2 < 0 < a1
+    if swapped:
+        s1, s2, a1, a2 = s2, s1, a2, a1
     if not (-1 < a1 < 0 and a2 > 0):
         raise DomainError(
             "gap_envelope needs exponents of opposite signs, "
             f"got ({spec.alpha1}, {spec.alpha2})")
 
-    coeff = _envelope_coefficient(spec)
-    try:
-        g_at_one = special.hyp2f1_at_one(1.0 - 0.5 * a1, 1.0 - 0.5 * a2, 1.5)
-    except SeriesDivergenceError:
+    # The shared coefficient of both endpoints; negative for rho != 0.
+    scale = _envelope_scale(s1, s2, a1, a2)
+    coeff = a1 * a2 * spec.rho * spec.rho * scale + 0.0
+    g_at_one = _envelope_g_at_one(a1, a2)
+    if g_at_one is None:
         # Only reachable in the alpha2 <= 2 case, where the diverging side
         # is the lower endpoint: the bound degrades to a vacuous -inf.
         return GapEnvelope(-math.inf, coeff, False, swapped)
     if a2 <= 2.0:
         return GapEnvelope(coeff * g_at_one, coeff, True, swapped)
     return GapEnvelope(coeff, min(coeff * g_at_one, 0.0), True, swapped)
+
+
+def _finite_bound(value: float, exponents: tuple[int, int]) -> float:
+    """``value``, or ``DomainError`` when an integer closed form overflowed
+    float64 (a float overflow, or an exact factorial too large to convert)."""
+    if not math.isfinite(value):
+        raise DomainError(f"closed-form bound for exponents {exponents} "
+                          "overflows float64; exponents are too large")
+    return value
 
 
 def pair_bound_small(alpha1: float, alpha2: float, sigma1: float,
@@ -163,10 +191,13 @@ def pair_bound_int_one(m: int, sigma1: float, sigma2: float,
     if not (float(m).is_integer() and m > 2):
         raise DomainError(f"m must be an integer greater than 2, got {m}")
     m = int(m)
-    base = special.double_factorial(m - 2) * m * sigma1 ** m * sigma2 * rho * rho
-    if m % 2 == 0:
-        return base / math.sqrt(2.0 * math.pi)
-    return base / 2.0
+    try:
+        base = (special.double_factorial(m - 2) * m * sigma1 ** m * sigma2
+                * rho * rho)
+    except OverflowError:
+        base = math.inf
+    denom = math.sqrt(2.0 * math.pi) if m % 2 == 0 else 2.0
+    return _finite_bound(base / denom, (m, 1))
 
 
 def pair_bound_int_int(m: int, n: int, sigma1: float, sigma2: float,
@@ -183,8 +214,13 @@ def pair_bound_int_int(m: int, n: int, sigma1: float, sigma2: float,
         denom = math.pi
     else:
         denom = math.sqrt(2.0 * math.pi)
-    return (special.double_factorial(m - 1) * special.double_factorial(n - 1)
-            * m * n * sigma1 ** m * sigma2 ** n * rho * rho / denom)
+    try:
+        value = (special.double_factorial(m - 1)
+                 * special.double_factorial(n - 1)
+                 * m * n * sigma1 ** m * sigma2 ** n * rho * rho / denom)
+    except OverflowError:
+        value = math.inf
+    return _finite_bound(value, (m, n))
 
 
 def check_point(spec: MomentSpec, tol: float = 1e-9) -> BoundReport:

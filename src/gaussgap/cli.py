@@ -40,8 +40,11 @@ def _emit_error(exc: Exception) -> None:
     print(json.dumps(obj), file=sys.stderr)
 
 
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _json_line(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    return _JSON_ENCODER.encode(obj)
 
 
 def _float_list(text: str) -> tuple[float, ...]:

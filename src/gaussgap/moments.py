@@ -15,7 +15,9 @@ never as a difference of two large moments.
 
 Sigma enters only through the prefactor P and rho only through rho^2, so
 the series factor is summed once per (alpha1, alpha2, rho^2) per process
-(``correlation_factor``) and reused across scales and correlation signs.
+(``correlation_factor``) and reused across scales and correlation signs,
+and P is computed once per (sigma1, sigma2, alpha1, alpha2)
+(``prefactor``) and reused across correlations.
 
 Prefactors are assembled in log space so large exponents (alpha ~ 50)
 survive without overflow; beyond float range they raise ``DomainError``.
@@ -69,19 +71,26 @@ def abs_moment_1d(sigma: float, alpha: float) -> float:
     return exp_of_log(log_val)
 
 
-def _log_prefactor(spec: MomentSpec) -> float:
-    """log of the product of the two marginal absolute moments."""
-    return (0.5 * (spec.alpha1 + spec.alpha2) * math.log(2.0)
-            + spec.alpha1 * math.log(spec.sigma1)
-            + spec.alpha2 * math.log(spec.sigma2)
-            + math.lgamma(0.5 * (spec.alpha1 + 1.0))
-            + math.lgamma(0.5 * (spec.alpha2 + 1.0))
-            - _LOG_PI)
+# Bounded like ``correlation_factor``; the default grid uses 900 keys.
+@functools.lru_cache(maxsize=4096)
+def prefactor(sigma1: float, sigma2: float, alpha1: float,
+              alpha2: float) -> float:
+    """P = E[|X1|^alpha1] * E[|X2|^alpha2], from its log.
+
+    Memoized per (sigma1, sigma2, alpha1, alpha2), passed positionally;
+    a ``DomainError`` past the float range is not cached.
+    """
+    return exp_of_log(0.5 * (alpha1 + alpha2) * math.log(2.0)
+                      + alpha1 * math.log(sigma1)
+                      + alpha2 * math.log(sigma2)
+                      + math.lgamma(0.5 * (alpha1 + 1.0))
+                      + math.lgamma(0.5 * (alpha2 + 1.0))
+                      - _LOG_PI)
 
 
 def product_of_marginals(spec: MomentSpec) -> float:
     """E[|X1|^alpha1] * E[|X2|^alpha2], independent of rho."""
-    return exp_of_log(_log_prefactor(spec))
+    return prefactor(spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2)
 
 
 def product_moment(spec: MomentSpec) -> float:

@@ -17,6 +17,7 @@ bounded analytically and folded into the reported error estimate.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -147,6 +148,23 @@ def _run_quad(fn, lo: float, hi: float, breakpoints, *, epsabs: float,
     return value, abserr, message
 
 
+def _overflow_is_domain_error(fn):
+    """Raise ``DomainError`` where ``fn`` overflows float64.
+
+    The substituted limits (radius * sigma)^(1 + alpha) and the tail-mass
+    bounds leave the float range for exponents in the hundreds.
+    """
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError:
+            raise DomainError(f"{fn.__name__} overflows float64; "
+                              "exponents are too large") from None
+    return wrapper
+
+
+@_overflow_is_domain_error
 def quad_abs_moment_1d(sigma: float, alpha: float,
                        cfg: QuadratureConfig | None = None,
                        substitute: bool = True) -> OracleEstimate:
@@ -194,6 +212,7 @@ def quad_abs_moment_1d(sigma: float, alpha: float,
     return OracleEstimate(value, err, OracleMethod.QUADRATURE)
 
 
+@_overflow_is_domain_error
 def quad_product_moment(spec: MomentSpec,
                         cfg: QuadratureConfig | None = None) -> OracleEstimate:
     """Quadrature estimate of E[|X1|^alpha1 |X2|^alpha2] for |rho| < 1.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -118,34 +119,35 @@ class ReportRow:
 
 
 def _jsonable(value):
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "+inf" if value > 0 else "-inf"
+    if isinstance(value, float) and not math.isfinite(value):
         if math.isnan(value):
             return "nan"
+        return "+inf" if value > 0 else "-inf"
     return value
 
 
 def row_to_dict(row: ReportRow) -> dict:
+    # Only the value columns can hold a non-finite float: MomentSpec
+    # admits finite scales, exponents and correlations only.
     spec = row.spec
-    raw = {
+    return {
         "index": row.index,
         "sigma1": spec.sigma1, "sigma2": spec.sigma2,
         "alpha1": spec.alpha1, "alpha2": spec.alpha2, "rho": spec.rho,
         "regime": row.regime, "case_tag": row.case_tag,
-        "moment": row.moment, "gap": row.gap,
-        "bound_lower": row.bound_lower, "bound_upper": row.bound_upper,
+        "moment": _jsonable(row.moment), "gap": _jsonable(row.gap),
+        "bound_lower": _jsonable(row.bound_lower),
+        "bound_upper": _jsonable(row.bound_upper),
         "finite_lower": row.finite_lower,
-        "satisfied": row.satisfied, "slack": row.slack,
-        "oracle_quad_value": row.oracle_quad_value,
-        "oracle_quad_error": row.oracle_quad_error,
-        "oracle_quad_dev": row.oracle_quad_dev,
-        "oracle_mc_value": row.oracle_mc_value,
-        "oracle_mc_error": row.oracle_mc_error,
-        "oracle_mc_dev": row.oracle_mc_dev,
+        "satisfied": row.satisfied, "slack": _jsonable(row.slack),
+        "oracle_quad_value": _jsonable(row.oracle_quad_value),
+        "oracle_quad_error": _jsonable(row.oracle_quad_error),
+        "oracle_quad_dev": _jsonable(row.oracle_quad_dev),
+        "oracle_mc_value": _jsonable(row.oracle_mc_value),
+        "oracle_mc_error": _jsonable(row.oracle_mc_error),
+        "oracle_mc_dev": _jsonable(row.oracle_mc_dev),
         "flags": list(row.flags),
     }
-    return {k: _jsonable(v) for k, v in raw.items()}
 
 
 def row_to_csv_fields(row: ReportRow) -> list[str]:
@@ -240,21 +242,29 @@ def _evaluate_packed(args) -> ReportRow:
 
 def run_sweep(config: SweepConfig, jobs: int = 1) -> tuple[list[ReportRow], dict]:
     """Evaluate the whole grid; rows come back in grid order regardless of
-    execution order or worker count."""
+    execution order or worker count.
+
+    If no process pool can be started (``OSError``), one notice goes to
+    stderr and the grid runs serially.
+    """
     grid = config.grid()
-    packed = [((s.sigma1, s.sigma2, s.alpha1, s.alpha2, s.rho), i,
-               config.tolerance, config.oracle.value, config.mc_samples,
-               config.master_seed)
-              for i, s in enumerate(grid)]
+    rows = None
     if jobs > 1 and len(grid) > 1:
+        packed = [((s.sigma1, s.sigma2, s.alpha1, s.alpha2, s.rho), i,
+                   config.tolerance, config.oracle.value, config.mc_samples,
+                   config.master_seed)
+                  for i, s in enumerate(grid)]
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 chunk = max(1, len(packed) // (jobs * 8))
                 rows = list(pool.map(_evaluate_packed, packed, chunksize=chunk))
-        except OSError:
-            rows = [_evaluate_packed(p) for p in packed]
-    else:
-        rows = [_evaluate_packed(p) for p in packed]
+        except OSError as exc:
+            print(f"gaussgap: no process pool ({exc}); evaluating "
+                  f"{len(grid)} points serially", file=sys.stderr)
+    if rows is None:
+        rows = [evaluate_point(spec, i, config.tolerance, config.oracle,
+                               config.mc_samples, config.master_seed)
+                for i, spec in enumerate(grid)]
 
     summary = {
         "checked": len(rows),

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussgap import bounds, special
 from gaussgap.bounds import (BoundCase, GapEnvelope, GapLowerBound,
                              check_point, gap_envelope, gap_lower_bound,
                              pair_bound_int_int, pair_bound_int_one,
                              pair_bound_small)
-from gaussgap.errors import DomainError
+from gaussgap.errors import DomainError, SeriesDivergenceError
 from gaussgap.moments import gap
 from gaussgap.types import MomentSpec
 
@@ -189,6 +190,18 @@ class TestPairBounds:
         with pytest.raises(DomainError):
             pair_bound_int_int(2, 4, 1, 1, 0.5)
 
+    def test_int_one_overflow_is_domain_error(self):
+        # 398!! is an exact int too large to convert to a float
+        with pytest.raises(DomainError, match="overflows"):
+            pair_bound_int_one(400, 2.0, 2.0, 0.5)
+        # a float product past the range, with no exception of its own
+        with pytest.raises(DomainError, match="overflows"):
+            pair_bound_int_one(170, 10.0, 1.0, 0.5)
+
+    def test_int_int_overflow_is_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            pair_bound_int_int(400, 400, 2.0, 2.0, 0.5)
+
     def test_agree_with_general_bound(self):
         for s1, s2, rho in [(1, 1, 0.5), (0.5, 2, 0.95), (2, 0.5, 0.25)]:
             for a1 in (1, 2):
@@ -273,3 +286,65 @@ class TestCheckPoint:
         assert rep.regime == "same-sign"
         assert rep.satisfied
         assert isinstance(rep.bound, GapLowerBound)
+
+
+class TestRhoFreeFactorCaches:
+    def test_lower_bound_scale_shared_across_rho(self):
+        first = gap_lower_bound(MomentSpec(0.5, 2.0, 3.0, 1.5, 0.25))
+        for rho in (-0.25, 0.5, 0.95, 1.0):
+            gap_lower_bound(MomentSpec(0.5, 2.0, 3.0, 1.5, rho))
+        info = bounds._lower_bound_scale.cache_info()
+        assert (info.hits, info.misses) == (4, 1)
+        assert first.case_tag is BoundCase.MIXED_MAGNITUDE
+
+    def test_lower_bound_value_is_the_uncached_float(self):
+        # the rho-dependent multiply keeps its left-to-right order
+        a1, a2, s1, s2, rho = 1.5, 1.0, 0.5, 2.0, -0.75
+        log_scale = (0.5 * (a1 + a2) * math.log(2.0)
+                     + a1 * math.log(s1) + a2 * math.log(s2))
+        log_scale += (math.lgamma(0.5 * (a1 + 1.0))
+                      + math.lgamma(0.5 * (a2 + 1.0))
+                      - math.log(2.0 * math.pi))
+        want = a1 * a2 * rho * rho * math.exp(log_scale)
+        for _ in range(2):
+            bound = gap_lower_bound(MomentSpec(s1, s2, a1, a2, rho))
+            assert bound.value == want
+            assert bound.case_tag is BoundCase.SAME_SIGN_MAIN
+
+    def test_envelope_factors_shared_across_rho_and_orientation(self):
+        spec = MomentSpec(0.5, 2.0, -0.5, 3.0, 0.5)
+        first = gap_envelope(spec)
+        mirrored = gap_envelope(MomentSpec(2.0, 0.5, 3.0, -0.5, 0.5))
+        assert mirrored == GapEnvelope(first.lower, first.upper,
+                                       first.finite_lower, True)
+        gap_envelope(MomentSpec(0.5, 2.0, -0.5, 3.0, -0.95))
+        for cache in (bounds._envelope_scale, bounds._envelope_g_at_one):
+            info = cache.cache_info()
+            assert (info.hits, info.misses) == (2, 1)
+
+    def test_divergent_value_cached_as_vacuous(self, monkeypatch):
+        calls = []
+        original = special.hyp2f1_at_one
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(special, "hyp2f1_at_one", counting)
+        for rho in (0.25, 0.5, -0.75):
+            env = gap_envelope(MomentSpec(1, 1, -0.9, 0.5, rho))
+            assert env.lower == -math.inf and not env.finite_lower
+        assert calls == [(1.45, 0.75, 1.5)]
+        with pytest.raises(SeriesDivergenceError):
+            original(1.45, 0.75, 1.5)
+
+    def test_overflow_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(DomainError, match="overflows"):
+                gap_lower_bound(MomentSpec(1, 1, 200, 200, 0.5))
+        assert bounds._lower_bound_scale.cache_info().currsize == 0
+
+    def test_bounded(self):
+        for cache in (bounds._lower_bound_scale, bounds._envelope_scale,
+                      bounds._envelope_g_at_one):
+            assert cache.cache_info().maxsize is not None

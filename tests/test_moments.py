@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gaussgap import special
 from gaussgap.errors import ConvergenceError, DomainError
 from gaussgap.moments import (abs_moment_1d, correlation_factor, gap,
-                              gap_via_3f2, product_moment,
+                              gap_via_3f2, prefactor, product_moment,
                               product_moment_rho_one, product_of_marginals)
 from gaussgap.types import MomentSpec
 
@@ -269,6 +269,29 @@ class TestCorrelationFactor:
 
     def test_bounded(self):
         assert correlation_factor.cache_info().maxsize is not None
+
+
+class TestPrefactor:
+    def test_shared_across_rho_and_functions(self):
+        for rho in (0.0, 0.25, -0.25, 0.95, 1.0):
+            spec = MomentSpec(0.5, 0.5, 1.5, -0.5, rho)
+            gap(spec)
+            if rho != 1.0:
+                product_moment(spec)
+        info = prefactor.cache_info()
+        # gap returns 0 at rho = 0 without P; every other call hits
+        assert (info.hits, info.misses) == (7, 1)
+        assert product_of_marginals(MomentSpec(0.5, 0.5, 1.5, -0.5, 0.3)) == \
+            prefactor(0.5, 0.5, 1.5, -0.5)
+
+    def test_errors_are_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(DomainError, match="overflows"):
+                prefactor(1.0, 1.0, 200.0, 200.0)
+        assert prefactor.cache_info().currsize == 0
+
+    def test_bounded(self):
+        assert prefactor.cache_info().maxsize is not None
 
 
 class TestGapDualPath:

@@ -49,6 +49,11 @@ class TestQuadAbsMoment1d:
         with pytest.raises(DomainError):
             quad_abs_moment_1d(1.0, -1.0)
 
+    def test_overflow_is_domain_error(self):
+        # the upper limit (12 * sigma)^(1 + alpha) leaves the float range
+        with pytest.raises(DomainError, match="overflows"):
+            quad_abs_moment_1d(1.0, 300.0)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             QuadratureConfig(tail_radius_sigmas=4)
@@ -90,6 +95,10 @@ class TestQuadProductMoment:
     def test_degenerate_refused(self):
         with pytest.raises(DomainError):
             quad_product_moment(MomentSpec(1, 1, 1, 1, 1.0))
+
+    def test_overflow_is_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            quad_product_moment(MomentSpec(1, 1, 300, 300, 0.5))
 
 
 class TestSampling:

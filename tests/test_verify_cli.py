@@ -1,13 +1,18 @@
 """Tests for the sweep machinery, report serialization, and the CLI."""
 
+import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from gaussgap import cli, moments, special
+import gaussgap
+from gaussgap import cli, moments, special, verify
+from gaussgap.errors import ConvergenceError
 from gaussgap.types import MomentSpec
 from gaussgap.verify import (CSV_COLUMNS, OracleChoice, SweepConfig,
                              evaluate_point, row_to_csv_fields, row_to_dict,
@@ -49,7 +54,7 @@ class TestSweep:
         assert [r.index for r in parallel] == list(range(len(serial)))
         assert serial == parallel
 
-    def test_cached_sweep_matches_cold_points(self):
+    def test_cached_sweep_matches_cold_points(self, clear_caches):
         # three scales and both signs of each |rho| share every series key
         config = SweepConfig(alpha1_values=(-0.5, 1.0, 2.5),
                              alpha2_values=(-0.9, 1.5),
@@ -57,14 +62,33 @@ class TestSweep:
                              sigma1_values=(0.5, 2.0),
                              sigma2_values=(1.0, 2.0))
         rows, _ = run_sweep(config, jobs=1)
-        info = moments.correlation_factor.cache_info()
-        assert info.hits > info.misses > 0
+        for cache in (moments.correlation_factor, moments.prefactor):
+            info = cache.cache_info()
+            assert info.hits > info.misses > 0
         cold = []
         for i, spec in enumerate(config.grid()):
-            moments.correlation_factor.cache_clear()
+            clear_caches()
             cold.append(evaluate_point(spec, i, config.tolerance,
                                        OracleChoice.NONE, 0, 0))
         assert rows == cold
+
+    def test_pool_oserror_falls_back_with_one_notice(self, monkeypatch,
+                                                     capsys):
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores")
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+        config = SweepConfig(alpha1_values=(-0.5, 2.0), alpha2_values=(1.0,),
+                             rho_values=(0.0, 0.5), sigma1_values=(1.0,),
+                             sigma2_values=(1.0, 2.0))
+        rows, summary = run_sweep(config, jobs=2)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "no process pool (no semaphores)" in err
+        assert "8 points serially" in err
+        serial = run_sweep(config, jobs=1)
+        assert (rows, summary) == serial
+        assert capsys.readouterr().err == ""
 
     def test_oracle_columns(self):
         config = SweepConfig(alpha1_values=(1.0,), alpha2_values=(1.0,),
@@ -89,7 +113,148 @@ class TestSweep:
         assert rows[0].oracle_mc_value is None
 
 
+def _reference_jsonable(value):
+    """Reference mapping for serialization: applied to every field, float
+    or not, with no assumption about which columns can be non-finite."""
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "+inf" if value > 0 else "-inf"
+        if math.isnan(value):
+            return "nan"
+    return value
+
+
+def _reference_dict(row):
+    spec = row.spec
+    raw = {
+        "index": row.index,
+        "sigma1": spec.sigma1, "sigma2": spec.sigma2,
+        "alpha1": spec.alpha1, "alpha2": spec.alpha2, "rho": spec.rho,
+        "regime": row.regime, "case_tag": row.case_tag,
+        "moment": row.moment, "gap": row.gap,
+        "bound_lower": row.bound_lower, "bound_upper": row.bound_upper,
+        "finite_lower": row.finite_lower,
+        "satisfied": row.satisfied, "slack": row.slack,
+        "oracle_quad_value": row.oracle_quad_value,
+        "oracle_quad_error": row.oracle_quad_error,
+        "oracle_quad_dev": row.oracle_quad_dev,
+        "oracle_mc_value": row.oracle_mc_value,
+        "oracle_mc_error": row.oracle_mc_error,
+        "oracle_mc_dev": row.oracle_mc_dev,
+        "flags": list(row.flags),
+    }
+    return {k: _reference_jsonable(v) for k, v in raw.items()}
+
+
+def _reference_line(row, fmt):
+    d = _reference_dict(row)
+    if fmt == "json":
+        return json.dumps(d, separators=(",", ":"))
+    d["flags"] = ";".join(row.flags)
+    fields = []
+    for col in CSV_COLUMNS:
+        v = d[col]
+        if v is None:
+            fields.append("")
+        elif isinstance(v, bool):
+            fields.append("true" if v else "false")
+        else:
+            fields.append(str(v))
+    return ",".join(fields)
+
+
+class TestWarmSweepBytes:
+    # Every branch the caches sit on: same-sign main (1.5, 0.5) and mixed
+    # magnitude (3, 0.5); envelopes with a finite lower end (-0.9, 2) and
+    # a vacuous one (-0.9, 0.5), each also swapped ((3, -0.5), (1.5,
+    # -0.5)); rho = 0; |rho| = 1 with a +inf moment (-0.9, -0.5) and with
+    # mismatched scales; and rows whose series raise ConvergenceError.
+    ARGS = ["--alpha1=-0.9,1.5,3", "--alpha2=-0.5,0.5,2",
+            "--rho", "0,0.5,-0.5,0.95,1", "--sigma1", "0.5,2",
+            "--sigma2", "2"]
+    CONFIG = SweepConfig(alpha1_values=(-0.9, 1.5, 3.0),
+                         alpha2_values=(-0.5, 0.5, 2.0),
+                         rho_values=(0.0, 0.5, -0.5, 0.95, 1.0),
+                         sigma1_values=(0.5, 2.0), sigma2_values=(2.0,))
+
+    @staticmethod
+    def _fail_at_095(monkeypatch):
+        """Series for alpha1 = 1.5 at rho^2 = 0.95^2 raise ConvergenceError."""
+        for name in ("hyp2f1", "hyp2f1_minus_one"):
+            summed = getattr(special, name)
+
+            def patched(a, b, c, z, summed=summed):
+                if a == -0.75 and z == 0.95 * 0.95:
+                    raise ConvergenceError(f"patched at z = {z}")
+                return summed(a, b, c, z)
+
+            monkeypatch.setattr(special, name, patched)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_warm_sweep_writes_cold_bytes(self, fmt, tmp_path, monkeypatch,
+                                          capsys, clear_caches):
+        self._fail_at_095(monkeypatch)
+        out_file = tmp_path / f"rows.{fmt}"
+        code, _, _ = run_cli(["verify", *self.ARGS, "--jobs", "1",
+                              "--format", fmt, "--output", str(out_file)],
+                             capsys)
+        assert code == 0
+        assert moments.prefactor.cache_info().hits > 0
+
+        cold = []
+        for i, spec in enumerate(self.CONFIG.grid()):
+            clear_caches()
+            cold.append(evaluate_point(spec, i, 1e-9, OracleChoice.NONE,
+                                       0, 0))
+        lines = [_reference_line(row, fmt) for row in cold]
+        if fmt == "csv":
+            lines.insert(0, ",".join(CSV_COLUMNS))
+        assert out_file.read_bytes() == "".join(
+            line + "\n" for line in lines).encode()
+
+        tags = {row.case_tag for row in cold}
+        assert {"SameSignMain", "MixedMagnitude"} <= tags
+        flags = [set(row.flags) for row in cold]
+        assert any({"swapped", "vacuous-lower"} <= f for f in flags)
+        assert any("swapped" in f and "vacuous-lower" not in f
+                   and row.regime == "opposite-sign"
+                   for f, row in zip(flags, cold))
+        assert any(row.finite_lower and row.bound_upper is not None
+                   and "swapped" not in f for f, row in zip(flags, cold))
+        assert any(row.spec.rho == 0.0 and row.regime == "same-sign"
+                   for row in cold)
+        assert any(row.moment == math.inf for row in cold)
+        assert any(any(x.startswith("error:ConvergenceError:") for x in f)
+                   for f in flags)
+        assert any(any(x.startswith("error:DomainError:") for x in f)
+                   for f in flags)
+
+
 class TestSerialization:
+    def test_row_to_dict_is_the_per_field_mapping(self):
+        rows = [evaluate_point(spec, i, 1e-9, OracleChoice.NONE, 0, 0)
+                for i, spec in enumerate(TestWarmSweepBytes.CONFIG.grid())]
+        base = rows[0]
+        specials = (math.nan, math.inf, -math.inf, 0.0, -0.0, None)
+        for k, value in enumerate(specials):
+            rows.append(dataclasses.replace(
+                base, moment=value, gap=specials[k - 1],
+                bound_lower=specials[k - 2], bound_upper=value,
+                slack=specials[k - 3], oracle_quad_value=value,
+                oracle_quad_error=specials[k - 1],
+                oracle_quad_dev=specials[k - 2], oracle_mc_value=value,
+                oracle_mc_error=specials[k - 4],
+                oracle_mc_dev=specials[k - 5], flags=("a", "b")))
+        for row in rows:
+            got, want = row_to_dict(row), _reference_dict(row)
+            assert list(got.items()) == list(want.items())
+            assert cli._json_line(got) == _reference_line(row, "json")
+            assert ",".join(row_to_csv_fields(row)) == \
+                _reference_line(row, "csv")
+        assert {"nan", "+inf", "-inf"} <= {
+            v for row in rows for v in row_to_dict(row).values()
+            if isinstance(v, str)}
+
     def test_json_row_has_all_fields(self):
         row = evaluate_point(MomentSpec(1, 1, 1, 1, 0.5), 3, 1e-9,
                              OracleChoice.NONE, 0, 0)
@@ -314,9 +479,14 @@ class TestCliSelftest:
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self):
+        # the child imports the package under test, installed or not
+        env = dict(os.environ)
+        src = str(Path(gaussgap.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "gaussgap", "moment", "--alpha1", "1",
              "--alpha2", "1", "--rho", "0"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "0.6366197724"
