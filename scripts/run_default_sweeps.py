@@ -13,13 +13,14 @@ import pathlib
 import sys
 
 from gaussgap.cli import main as cli_main
+from gaussgap.verify import DEFAULT_SEED
 
 
 def run(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="reports")
     ap.add_argument("--jobs", type=int, default=0)
-    ap.add_argument("--seed", type=int, default=20240913)
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = ap.parse_args(argv)
 
     out = pathlib.Path(args.out_dir)

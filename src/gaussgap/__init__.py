@@ -8,13 +8,12 @@ from .errors import (AccuracyError, ConvergenceError, DomainError,
                      SeriesDivergenceError)
 from .moments import (abs_moment_1d, gap, gap_via_3f2, product_moment,
                       product_moment_rho_one, product_of_marginals)
-from .oracles import (McConfig, OracleEstimate, OracleMethod,
-                      QuadratureConfig, derive_seed, mc_product_moment,
-                      quad_abs_moment_1d, quad_product_moment,
-                      sample_bivariate)
+from .oracles import (McConfig, OracleEstimate, derive_seed,
+                      mc_product_moment, quad_abs_moment_1d,
+                      quad_product_moment, sample_bivariate)
 from .special import (SeriesResult, double_factorial, euler_transform,
-                      gamma_fn, hyp2f1, hyp2f1_at_one, hyp2f1_derivative,
-                      hyp3f2, hyp_integral_rep, log_gamma, pochhammer)
+                      hyp2f1, hyp2f1_at_one, hyp2f1_derivative, hyp3f2,
+                      hyp_integral_rep)
 from .types import MomentSpec
 
 __version__ = "0.1.0"

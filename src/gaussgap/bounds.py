@@ -27,6 +27,10 @@ from . import moments, special
 from .errors import DomainError, GaussGapError, SeriesDivergenceError
 from .types import MomentSpec
 
+# Absolute-plus-relative tolerance of ``check_point``, and the default of
+# every command that checks a bound.
+DEFAULT_TOLERANCE = 1e-9
+
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_4_SQRT_PI = math.log(4.0) + 0.5 * math.log(math.pi)
 
@@ -223,7 +227,8 @@ def pair_bound_int_int(m: int, n: int, sigma1: float, sigma2: float,
     return _finite_bound(value, (m, n))
 
 
-def check_point(spec: MomentSpec, tol: float = 1e-9) -> BoundReport:
+def check_point(spec: MomentSpec,
+                tol: float = DEFAULT_TOLERANCE) -> BoundReport:
     """Compare the gap against its applicable bound(s) at one point.
 
     Computation errors become a failed-with-reason report instead of an

@@ -8,10 +8,12 @@ hypergeometric closed form
     P = 2^((a1+a2)/2) sigma1^a1 sigma2^a2
         Gamma((a1+1)/2) Gamma((a2+1)/2) / pi,
 
-valid for |rho| < 1 and a1, a2 > -1.  The "gap" is the excess of that
-product moment over the product of the marginal moments; it is computed
-as P * (F - 1) with the F - 1 series summed directly from its first term,
-never as a difference of two large moments.
+valid for |rho| < 1 and a1, a2 > -1; at |rho| = 1 the coordinates
+coincide up to sign and the moment is one one-dimensional moment.  The
+"gap" is the excess of that product moment over the product of the
+marginal moments; it is computed as P * (F - 1) with the F - 1 series
+summed directly from its first term, never as a difference of two large
+moments.
 
 Sigma enters only through the prefactor P and rho only through rho^2, so
 the series factor is summed once per (alpha1, alpha2, rho^2) per process
@@ -94,13 +96,22 @@ def product_of_marginals(spec: MomentSpec) -> float:
 
 
 def product_moment(spec: MomentSpec) -> float:
-    """E[|X1|^alpha1 |X2|^alpha2] for the non-degenerate case |rho| < 1."""
+    """E[|X1|^alpha1 |X2|^alpha2] for |rho| <= 1.
+
+    |rho| = 1 goes to ``product_moment_rho_one``.
+    """
     if spec.degenerate:
-        raise DomainError("product_moment requires |rho| < 1; "
-                          "use product_moment_rho_one for |rho| = 1")
+        return product_moment_rho_one(spec)
     series = correlation_factor(spec.alpha1, spec.alpha2, spec.rho * spec.rho,
                                 False)
     return product_of_marginals(spec) * series.value
+
+
+def _require_equal_scales(spec: MomentSpec) -> None:
+    """|rho| = 1 makes X2 = +-X1, so both must have the same scale."""
+    if spec.sigma1 != spec.sigma2:
+        raise DomainError("|rho| = 1 forces equal scales; got "
+                          f"sigma1 = {spec.sigma1}, sigma2 = {spec.sigma2}")
 
 
 def product_moment_rho_one(spec: MomentSpec) -> float:
@@ -114,9 +125,7 @@ def product_moment_rho_one(spec: MomentSpec) -> float:
     if not spec.degenerate:
         raise DomainError(f"product_moment_rho_one requires |rho| = 1, "
                           f"got rho = {spec.rho}")
-    if spec.sigma1 != spec.sigma2:
-        raise DomainError("|rho| = 1 forces equal scales; got "
-                          f"sigma1 = {spec.sigma1}, sigma2 = {spec.sigma2}")
+    _require_equal_scales(spec)
     total = spec.alpha1 + spec.alpha2
     if total <= -1.0:
         return math.inf
@@ -132,9 +141,7 @@ def gap(spec: MomentSpec) -> float:
     if spec.rho == 0.0:
         return 0.0
     if spec.degenerate:
-        if spec.sigma1 != spec.sigma2:
-            raise DomainError("|rho| = 1 forces equal scales; got "
-                              f"sigma1 = {spec.sigma1}, sigma2 = {spec.sigma2}")
+        _require_equal_scales(spec)
         if spec.alpha1 + spec.alpha2 <= -1.0:
             return math.inf
         f_at_one = special.hyp2f1_at_one(-0.5 * spec.alpha1,

@@ -10,13 +10,12 @@ Quadrature uses adaptive Gauss-Kronrod panels (QUADPACK) after the
 per-axis substitution u = x^(1+alpha), which turns the integrable origin
 singularity of x^alpha for alpha in (-1, 0) into a bounded integrand:
 x^alpha dx = d(x^(1+alpha)) / (1+alpha) exactly.  Domains are truncated at
-``tail_radius_sigmas`` standard deviations and the neglected mass is
+``TAIL_RADIUS_SIGMAS`` standard deviations and the neglected mass is
 bounded analytically and folded into the reported error estimate.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import numbers
@@ -31,27 +30,13 @@ from .types import MomentSpec
 _MASK64 = (1 << 64) - 1
 _BREAK_SIGMAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
-
-class OracleMethod(enum.Enum):
-    QUADRATURE = "Quadrature"
-    MONTE_CARLO = "MonteCarlo"
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    tail_radius_sigmas: float = 12.0
-    target_rel_err: float = 1e-9
-    max_subdivisions: int = 2 ** 15
-
-    def __post_init__(self):
-        if not self.tail_radius_sigmas >= 8:
-            raise DomainError("tail_radius_sigmas must be at least 8, got "
-                              f"{self.tail_radius_sigmas}")
-        if not 0 < self.target_rel_err <= 1e-3:
-            raise DomainError("target_rel_err must lie in (0, 1e-3], got "
-                              f"{self.target_rel_err}")
-        if self.max_subdivisions < 10:
-            raise DomainError("max_subdivisions too small")
+# Quadrature settings: truncation radius in standard deviations, relative
+# error target, and QUADPACK subdivision limits of the outer and the
+# inner (per outer node) integrals.
+TAIL_RADIUS_SIGMAS = 12.0
+TARGET_REL_ERR = 1e-9
+MAX_SUBDIVISIONS = 2 ** 15
+INNER_SUBDIVISIONS = MAX_SUBDIVISIONS // 64
 
 
 @dataclass(frozen=True)
@@ -75,7 +60,6 @@ class OracleEstimate:
 
     value: float
     error_estimate: float
-    method: OracleMethod
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -165,8 +149,7 @@ def _overflow_is_domain_error(fn):
 
 
 @_overflow_is_domain_error
-def quad_abs_moment_1d(sigma: float, alpha: float,
-                       cfg: QuadratureConfig | None = None,
+def quad_abs_moment_1d(sigma: float, alpha: float, *,
                        substitute: bool = True) -> OracleEstimate:
     """Quadrature estimate of E[|X|^alpha] for X ~ N(0, sigma^2).
 
@@ -178,8 +161,7 @@ def quad_abs_moment_1d(sigma: float, alpha: float,
         raise DomainError(f"sigma must be positive, got {sigma}")
     if not alpha > -1:
         raise DomainError(f"alpha must exceed -1, got {alpha}")
-    cfg = cfg or QuadratureConfig()
-    radius = cfg.tail_radius_sigmas
+    radius = TAIL_RADIUS_SIGMAS
     norm = 2.0 / (math.sqrt(2.0 * math.pi) * sigma)
     inv_var2 = 1.0 / (2.0 * sigma * sigma)
 
@@ -201,20 +183,19 @@ def quad_abs_moment_1d(sigma: float, alpha: float,
         breaks = [k * sigma for k in _BREAK_SIGMAS]
 
     raw, abserr, message = _run_quad(integrand, 0.0, upper, breaks,
-                                     epsabs=0.0, epsrel=cfg.target_rel_err / 2,
-                                     limit=cfg.max_subdivisions)
+                                     epsabs=0.0, epsrel=TARGET_REL_ERR / 2,
+                                     limit=MAX_SUBDIVISIONS)
     value = norm * raw
     err = norm * abserr + _tail_1d(sigma, alpha, radius)
-    if message is not None or err > cfg.target_rel_err * abs(value):
+    if message is not None or err > TARGET_REL_ERR * abs(value):
         raise AccuracyError(
             f"1-D moment quadrature missed its target: {message or 'error bound too large'}",
             estimate=value, achieved_error=err)
-    return OracleEstimate(value, err, OracleMethod.QUADRATURE)
+    return OracleEstimate(value, err)
 
 
 @_overflow_is_domain_error
-def quad_product_moment(spec: MomentSpec,
-                        cfg: QuadratureConfig | None = None) -> OracleEstimate:
+def quad_product_moment(spec: MomentSpec) -> OracleEstimate:
     """Quadrature estimate of E[|X1|^alpha1 |X2|^alpha2] for |rho| < 1.
 
     Folds the plane into the first quadrant, substitutes per axis, and
@@ -225,8 +206,7 @@ def quad_product_moment(spec: MomentSpec,
     """
     if spec.degenerate:
         raise DomainError("quad_product_moment requires |rho| < 1")
-    cfg = cfg or QuadratureConfig()
-    radius = cfg.tail_radius_sigmas
+    radius = TAIL_RADIUS_SIGMAS
     s1, s2, a1, a2, rho = (spec.sigma1, spec.sigma2, spec.alpha1,
                            spec.alpha2, spec.rho)
     p1, p2 = 1.0 + a1, 1.0 + a2
@@ -237,7 +217,6 @@ def quad_product_moment(spec: MomentSpec,
     s_cond = s2 * math.sqrt(det)
     inv_2cond = 1.0 / (2.0 * s_cond * s_cond)
     v_breaks_static = [(k * s2) ** p2 for k in _BREAK_SIGMAS]
-    inner_limit = max(cfg.max_subdivisions // 64, 50)
     # Track the largest inner error and the largest inner value actually
     # seen (both weighted by the outer marginal factor): their ratio is a
     # realistic relative-noise level for the outer integrand.
@@ -266,15 +245,15 @@ def quad_product_moment(spec: MomentSpec,
         val, abserr, _ = _run_quad(
             fy, 0.0, v_hi, breaks,
             epsabs=1e-13 * marginal * cap, epsrel=1e-11,
-            limit=inner_limit)
+            limit=INNER_SUBDIVISIONS)
         max_weighted_err = max(max_weighted_err, marginal * abserr)
         max_weighted_val = max(max_weighted_val, marginal * val)
         return marginal * val
 
     u_breaks = [(k * s1) ** p1 for k in _BREAK_SIGMAS]
     raw, abserr, message = _run_quad(inner, 0.0, u_hi, u_breaks,
-                                     epsabs=0.0, epsrel=cfg.target_rel_err / 2,
-                                     limit=cfg.max_subdivisions)
+                                     epsabs=0.0, epsrel=TARGET_REL_ERR / 2,
+                                     limit=MAX_SUBDIVISIONS)
     prefactor = 2.0 * norm / (p1 * p2)
     value = prefactor * raw
     tail = (_strip_bound(s1, a1, s2, a2, rho, radius)
@@ -282,11 +261,11 @@ def quad_product_moment(spec: MomentSpec,
     inner_noise = (max_weighted_err / max_weighted_val * abs(value)
                    if max_weighted_val > 0.0 else 0.0)
     err = prefactor * abserr + inner_noise + tail
-    if message is not None or err > cfg.target_rel_err * abs(value):
+    if message is not None or err > TARGET_REL_ERR * abs(value):
         raise AccuracyError(
             f"product-moment quadrature missed its target: {message or 'error bound too large'}",
             estimate=value, achieved_error=err)
-    return OracleEstimate(value, err, OracleMethod.QUADRATURE)
+    return OracleEstimate(value, err)
 
 
 def sample_bivariate(spec: MomentSpec, n: int, seed: int) -> np.ndarray:
@@ -311,13 +290,21 @@ def mc_product_moment(spec: MomentSpec, cfg: McConfig) -> OracleEstimate:
 
     Requires min(alpha1, alpha2) > -1/2: below that the estimator has
     infinite variance and the quadrature oracle must be used instead.
+    Raises ``DomainError`` where a sample, the mean or the variance leaves
+    the float64 range, as it does for exponents in the hundreds.
     """
     if min(spec.alpha1, spec.alpha2) <= -0.5:
         raise InfiniteVarianceError(
             f"exponents ({spec.alpha1}, {spec.alpha2}) give the sample mean "
             "infinite variance; use quad_product_moment")
-    xy = sample_bivariate(spec, cfg.n_samples, cfg.seed)
-    vals = (np.abs(xy[:, 0]) ** spec.alpha1) * (np.abs(xy[:, 1]) ** spec.alpha2)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(cfg.n_samples))
-    return OracleEstimate(mean, stderr, OracleMethod.MONTE_CARLO)
+    try:
+        with np.errstate(over="raise", divide="raise"):
+            xy = sample_bivariate(spec, cfg.n_samples, cfg.seed)
+            vals = ((np.abs(xy[:, 0]) ** spec.alpha1)
+                    * (np.abs(xy[:, 1]) ** spec.alpha2))
+            mean = float(vals.mean())
+            stderr = float(vals.std(ddof=1) / math.sqrt(cfg.n_samples))
+    except FloatingPointError:
+        raise DomainError("Monte Carlo estimate overflows float64; "
+                          "exponents are too large") from None
+    return OracleEstimate(mean, stderr)

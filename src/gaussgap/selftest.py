@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bounds, moments, special
 from .types import MomentSpec
-from .verify import DEFAULT_ALPHAS, DEFAULT_RHOS, DEFAULT_SIGMAS
+from .verify import DEFAULT_ALPHAS, DEFAULT_RHOS, DEFAULT_SEED, DEFAULT_SIGMAS
 
 
 @dataclass
@@ -47,7 +47,8 @@ def _same_sign_pairs():
                 yield a1, a2
 
 
-def euler_transform_suite(n: int = 200, seed: int = 20240913) -> SuiteResult:
+def euler_transform_suite(n: int = 200,
+                          seed: int = DEFAULT_SEED) -> SuiteResult:
     """F(a,b;c;z) must equal (1-z)^(c-a-b) F(c-a,c-b;c;z) to 1e-10."""
     res = SuiteResult("euler-transform")
     rng = np.random.default_rng(seed)
@@ -67,7 +68,8 @@ def euler_transform_suite(n: int = 200, seed: int = 20240913) -> SuiteResult:
     return res
 
 
-def gauss_summation_suite(n: int = 20, seed: int = 20240913) -> SuiteResult:
+def gauss_summation_suite(n: int = 20,
+                          seed: int = DEFAULT_SEED) -> SuiteResult:
     """Summation just below z = 1 must approach the closed z = 1 value.
 
     F(1) - F(1 - eps) scales like F'(1) * eps plus a (eps)^(c-a-b) boundary
@@ -102,7 +104,7 @@ def gauss_summation_suite(n: int = 20, seed: int = 20240913) -> SuiteResult:
     return res
 
 
-def derivative_suite(n: int = 100, seed: int = 20240913) -> SuiteResult:
+def derivative_suite(n: int = 100, seed: int = DEFAULT_SEED) -> SuiteResult:
     """Analytic dF/dz must match central finite differences to 1e-6."""
     res = SuiteResult("derivative")
     rng = np.random.default_rng(seed)
@@ -167,7 +169,7 @@ def bound_consistency_suite() -> SuiteResult:
     return res
 
 
-def run_all(seed: int = 20240913) -> list[SuiteResult]:
+def run_all(seed: int = DEFAULT_SEED) -> list[SuiteResult]:
     return [
         euler_transform_suite(seed=seed),
         gauss_summation_suite(seed=seed),

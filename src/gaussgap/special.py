@@ -1,4 +1,4 @@
-"""Gamma-family helpers and hypergeometric series evaluation.
+"""Hypergeometric series evaluation.
 
 The series evaluators sum the defining power series directly with a
 relative stopping rule (next term below ``SERIES_EPS`` times the partial
@@ -52,45 +52,11 @@ def _is_nonpos_int(x: float) -> bool:
     return x <= 0 and math.isfinite(x) and float(x).is_integer()
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma function on the positive reals.
-
-    Returns +inf past the float64 overflow threshold (x > ~171.62).
-    """
-    if not x > 0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    try:
-        return math.gamma(x)
-    except OverflowError:
-        return math.inf
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma on the positive reals."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def _gamma_sign(x: float) -> float:
     """Sign of Gamma(x) for non-pole arguments."""
     if x > 0:
         return 1.0
     return -1.0 if math.ceil(-x) % 2 else 1.0
-
-
-def pochhammer(alpha: float, n: int) -> float:
-    """Rising factorial (alpha)_n = alpha (alpha+1) ... (alpha+n-1).
-
-    (alpha)_0 = 1 for every alpha, including alpha = 0; this is the
-    convention that makes F(a, 0; c; z) = 1.
-    """
-    if n < 0 or not float(n).is_integer():
-        raise DomainError(f"pochhammer requires a nonnegative integer n, got {n}")
-    out = 1.0
-    for k in range(int(n)):
-        out *= alpha + k
-    return out
 
 
 def double_factorial(n: int) -> int:
@@ -119,8 +85,8 @@ def _terminating_sum(nums, dens, z: float, last_n: int,
     return SeriesResult(total, last_n if skip_first else last_n + 1, 0.0, True)
 
 
-def _sum_pfq(nums, dens, z: float, *, eps: float = SERIES_EPS,
-             max_terms: int = MAX_TERMS, skip_first: bool = False) -> SeriesResult:
+def _sum_pfq(nums, dens, z: float, *,
+             skip_first: bool = False) -> SeriesResult:
     """Sum a generalized hypergeometric series with the library stopping rule.
 
     ``skip_first=True`` sums only the tail from n = 1, which evaluates
@@ -156,8 +122,8 @@ def _sum_pfq(nums, dens, z: float, *, eps: float = SERIES_EPS,
         n_next = 1
 
     block = _BLOCK_START
-    while n_next <= max_terms:
-        hi = min(n_next + block, max_terms + 1)
+    while n_next <= MAX_TERMS:
+        hi = min(n_next + block, MAX_TERMS + 1)
         idx = np.arange(n_next, hi, dtype=np.float64)
         ratio = np.full(idx.shape, z)
         for p in nums:
@@ -169,7 +135,7 @@ def _sum_pfq(nums, dens, z: float, *, eps: float = SERIES_EPS,
         sums = total + np.cumsum(terms)
         t_all = np.concatenate(([term], terms))
         s_all = np.concatenate(([total], sums))
-        small = np.abs(t_all[1:]) < eps * np.abs(s_all[:-1])
+        small = np.abs(t_all[1:]) < SERIES_EPS * np.abs(s_all[:-1])
         shrinking = np.abs(t_all[1:]) < np.abs(t_all[:-1])
         hits = np.nonzero(small & shrinking)[0]
         if hits.size:
@@ -189,9 +155,9 @@ def _sum_pfq(nums, dens, z: float, *, eps: float = SERIES_EPS,
         block = min(block * 2, _BLOCK_MAX)
 
     raise ConvergenceError(
-        f"series did not meet the stopping criterion within {max_terms} terms "
+        f"series did not meet the stopping criterion within {MAX_TERMS} terms "
         f"(z = {z} too close to 1)",
-        partial_value=total, terms_used=max_terms)
+        partial_value=total, terms_used=MAX_TERMS)
 
 
 def _check_lower(params, label: str) -> None:

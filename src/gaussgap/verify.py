@@ -16,11 +16,12 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import bounds as bounds_mod
 from . import moments as moments_mod
 from . import oracles as oracles_mod
-from .bounds import GapEnvelope, GapLowerBound
+from .bounds import DEFAULT_TOLERANCE, GapEnvelope, GapLowerBound
 from .errors import DomainError, GaussGapError
 from .types import MomentSpec
 
@@ -29,6 +30,9 @@ from .types import MomentSpec
 DEFAULT_ALPHAS = (-0.9, -0.5, -0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5)
 DEFAULT_RHOS = (0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 0.95, -0.95)
 DEFAULT_SIGMAS = (0.5, 1.0, 2.0)
+DEFAULT_MC_SAMPLES = 100_000
+# Master seed of the Monte Carlo oracle and of the selftest draws.
+DEFAULT_SEED = 20240913
 
 CSV_COLUMNS = (
     "index", "sigma1", "sigma2", "alpha1", "alpha2", "rho", "regime",
@@ -61,11 +65,10 @@ class SweepConfig:
     rho_values: tuple[float, ...] = DEFAULT_RHOS
     sigma1_values: tuple[float, ...] = DEFAULT_SIGMAS
     sigma2_values: tuple[float, ...] = DEFAULT_SIGMAS
-    tolerance: float = 1e-9
+    tolerance: float = DEFAULT_TOLERANCE
     oracle: OracleChoice = OracleChoice.NONE
-    mc_samples: int = 100_000
-    master_seed: int = 20240913
-    output_format: str = "json"
+    mc_samples: int = DEFAULT_MC_SAMPLES
+    master_seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if not all(a > -1 for a in self.alpha1_values + self.alpha2_values):
@@ -76,8 +79,6 @@ class SweepConfig:
             raise DomainError("all scales must be positive")
         if not self.tolerance > 0:
             raise DomainError("tolerance must be positive")
-        if self.output_format not in ("json", "csv"):
-            raise DomainError(f"unknown output format {self.output_format!r}")
 
     def grid(self) -> list[MomentSpec]:
         return [MomentSpec(s1, s2, a1, a2, r)
@@ -165,12 +166,6 @@ def row_to_csv_fields(row: ReportRow) -> list[str]:
     return out
 
 
-def _moment_value(spec: MomentSpec) -> float:
-    if spec.degenerate:
-        return moments_mod.product_moment_rho_one(spec)
-    return moments_mod.product_moment(spec)
-
-
 def evaluate_point(spec: MomentSpec, index: int, tolerance: float,
                    oracle: OracleChoice, mc_samples: int,
                    master_seed: int) -> ReportRow:
@@ -180,7 +175,7 @@ def evaluate_point(spec: MomentSpec, index: int, tolerance: float,
 
     moment = None
     try:
-        moment = _moment_value(spec)
+        moment = moments_mod.product_moment(spec)
     except GaussGapError as exc:
         flags.append(f"error:{type(exc).__name__}:{exc}")
 
@@ -234,37 +229,32 @@ def evaluate_point(spec: MomentSpec, index: int, tolerance: float,
     )
 
 
-def _evaluate_packed(args) -> ReportRow:
-    spec_fields, index, tolerance, oracle_name, mc_samples, seed = args
-    return evaluate_point(MomentSpec(*spec_fields), index, tolerance,
-                          OracleChoice(oracle_name), mc_samples, seed)
-
-
 def run_sweep(config: SweepConfig, jobs: int = 1) -> tuple[list[ReportRow], dict]:
     """Evaluate the whole grid; rows come back in grid order regardless of
     execution order or worker count.
 
-    If no process pool can be started (``OSError``), one notice goes to
+    One argument list over the grid, mapped by the process pool when
+    ``jobs`` > 1 and by the built-in ``map`` otherwise.  If the pool or one
+    of its workers cannot be started (``OSError``), one notice goes to
     stderr and the grid runs serially.
     """
     grid = config.grid()
+    # A list, a range and endless repeats: the serial map can walk them
+    # again after a pool failed part way.
+    points = (grid, range(len(grid)), repeat(config.tolerance),
+              repeat(config.oracle), repeat(config.mc_samples),
+              repeat(config.master_seed))
     rows = None
     if jobs > 1 and len(grid) > 1:
-        packed = [((s.sigma1, s.sigma2, s.alpha1, s.alpha2, s.rho), i,
-                   config.tolerance, config.oracle.value, config.mc_samples,
-                   config.master_seed)
-                  for i, s in enumerate(grid)]
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunk = max(1, len(packed) // (jobs * 8))
-                rows = list(pool.map(_evaluate_packed, packed, chunksize=chunk))
+                chunk = max(1, len(grid) // (jobs * 8))
+                rows = list(pool.map(evaluate_point, *points, chunksize=chunk))
         except OSError as exc:
             print(f"gaussgap: no process pool ({exc}); evaluating "
                   f"{len(grid)} points serially", file=sys.stderr)
     if rows is None:
-        rows = [evaluate_point(spec, i, config.tolerance, config.oracle,
-                               config.mc_samples, config.master_seed)
-                for i, spec in enumerate(grid)]
+        rows = list(map(evaluate_point, *points))
 
     summary = {
         "checked": len(rows),

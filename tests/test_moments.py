@@ -99,8 +99,17 @@ class TestProductMoment:
         assert got == pytest.approx(1.72, rel=1e-14)
 
     def test_degenerate_rho_refused(self):
-        with pytest.raises(DomainError):
-            product_moment(MomentSpec(1, 1, 1, 1, 1.0))
+        # |rho| = 1 admits only equal scales, checked as in gap
+        with pytest.raises(DomainError, match="forces equal scales"):
+            product_moment(MomentSpec(1, 2, 1, 1, 1.0))
+        with pytest.raises(DomainError, match="forces equal scales"):
+            gap(MomentSpec(1, 2, 1, 1, -1.0))
+
+    @pytest.mark.parametrize("spec", [
+        MomentSpec(1, 1, 1, 1, 1.0), MomentSpec(2, 2, 1.5, -0.5, -1.0),
+        MomentSpec(0.5, 0.5, -0.6, -0.5, 1.0)])
+    def test_degenerate_rho_is_the_rho_one_moment(self, spec):
+        assert product_moment(spec) == product_moment_rho_one(spec)
 
     @given(st.floats(-0.95, 0.95))
     @settings(max_examples=30)

@@ -7,8 +7,7 @@ import pytest
 
 from gaussgap.errors import DomainError, InfiniteVarianceError
 from gaussgap.moments import abs_moment_1d, product_moment
-from gaussgap.oracles import (McConfig, OracleMethod, QuadratureConfig,
-                              derive_seed, mc_product_moment,
+from gaussgap.oracles import (McConfig, derive_seed, mc_product_moment,
                               quad_abs_moment_1d, quad_product_moment,
                               sample_bivariate)
 from gaussgap.types import MomentSpec
@@ -22,7 +21,6 @@ class TestQuadAbsMoment1d:
     def test_variance(self):
         est = quad_abs_moment_1d(1.0, 2.0)
         assert abs(est.value - 1.0) <= max(1e-9, 3 * est.error_estimate)
-        assert est.method is OracleMethod.QUADRATURE
 
     def test_half_normal_mean(self):
         est = quad_abs_moment_1d(1.0, 1.0)
@@ -53,12 +51,6 @@ class TestQuadAbsMoment1d:
         # the upper limit (12 * sigma)^(1 + alpha) leaves the float range
         with pytest.raises(DomainError, match="overflows"):
             quad_abs_moment_1d(1.0, 300.0)
-
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureConfig(tail_radius_sigmas=4)
-        with pytest.raises(DomainError):
-            QuadratureConfig(target_rel_err=0.1)
 
 
 class TestQuadProductMoment:
@@ -149,6 +141,21 @@ class TestMcProductMoment:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             McConfig(999, 1)
+
+    @pytest.mark.parametrize("spec", [
+        # the variance overflows: |x1 x2|^300 squared leaves float64
+        MomentSpec(1, 1, 300, 300, 0.5),
+        # a sample overflows: |x2|^303.9 at sigma2 = 18.5
+        MomentSpec(11.3, 18.5, -0.49, 303.9, 0.0),
+    ])
+    def test_overflow_is_domain_error(self, spec):
+        with pytest.raises(DomainError, match="overflows"):
+            mc_product_moment(spec, McConfig(1000, 1))
+
+    def test_large_finite_exponents_still_estimate(self):
+        est = mc_product_moment(MomentSpec(1, 1, 150, 150, 0.5),
+                                McConfig(1000, 1))
+        assert math.isfinite(est.value) and est.value > 0
 
     @pytest.mark.parametrize("seed", [True, False, 1.0, 1.5, "7", None, -1,
                                       2 ** 64])

@@ -1,4 +1,4 @@
-"""Tests for the Gamma helpers and hypergeometric evaluators."""
+"""Tests for the double factorial and the hypergeometric evaluators."""
 
 import math
 
@@ -7,10 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussgap.errors import ConvergenceError, DomainError, SeriesDivergenceError
-from gaussgap.special import (double_factorial, euler_transform, gamma_fn,
-                              hyp2f1, hyp2f1_at_one, hyp2f1_derivative,
-                              hyp2f1_minus_one, hyp3f2, hyp_integral_rep,
-                              log_gamma, pochhammer)
+from gaussgap.special import (double_factorial, euler_transform, hyp2f1,
+                              hyp2f1_at_one, hyp2f1_derivative,
+                              hyp2f1_minus_one, hyp3f2, hyp_integral_rep)
 
 
 def rel_err(got, want):
@@ -18,39 +17,6 @@ def rel_err(got, want):
 
 
 class TestGammaFamily:
-    def test_half_integer_values(self):
-        assert rel_err(gamma_fn(0.5), math.sqrt(math.pi)) < 1e-14
-        assert rel_err(gamma_fn(1.5), math.sqrt(math.pi) / 2) < 1e-14
-
-    def test_factorial_value(self):
-        assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-14)
-
-    def test_overflow_sentinel(self):
-        assert gamma_fn(180.0) == math.inf
-
-    def test_domain_error(self):
-        for bad in (0.0, -1.0, -0.5):
-            with pytest.raises(DomainError):
-                gamma_fn(bad)
-            with pytest.raises(DomainError):
-                log_gamma(bad)
-
-    def test_log_gamma_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-        assert rel_err(log_gamma(11.0), math.log(3628800)) < 1e-14
-
-    @given(st.floats(min_value=1e-3, max_value=100.0))
-    def test_recurrence(self, x):
-        assert rel_err(gamma_fn(x + 1.0), x * gamma_fn(x)) < 1e-13
-
-    def test_pochhammer_values(self):
-        assert pochhammer(3.0, 2) == 12.0
-        assert pochhammer(-1.0, 2) == 0.0
-        assert pochhammer(0.5, 3) == 1.875
-        assert pochhammer(0.0, 0) == 1.0  # empty product, any alpha
-        assert pochhammer(7.3, 0) == 1.0
-
     def test_double_factorial_values(self):
         assert double_factorial(5) == 15
         assert double_factorial(6) == 48

@@ -90,6 +90,22 @@ class TestSweep:
         assert (rows, summary) == serial
         assert capsys.readouterr().err == ""
 
+    def test_worker_fork_oserror_falls_back(self, monkeypatch, capsys):
+        # the pool forks its workers inside pool.map, after it was created
+        def no_fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        config = SweepConfig(alpha1_values=(-0.5, 2.0), alpha2_values=(1.0,),
+                             rho_values=(0.5,), sigma1_values=(1.0,),
+                             sigma2_values=(1.0,))
+        rows, summary = run_sweep(config, jobs=2)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "Resource temporarily unavailable" in err
+        monkeypatch.undo()
+        assert (rows, summary) == run_sweep(config, jobs=1)
+
     def test_oracle_columns(self):
         config = SweepConfig(alpha1_values=(1.0,), alpha2_values=(1.0,),
                              rho_values=(0.5,), sigma1_values=(1.0,),
