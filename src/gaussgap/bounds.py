@@ -12,8 +12,8 @@ Two regimes, split by the signs of the exponents:
   (alpha1 + alpha2 <= 1) the lower endpoint is a vacuous -inf sentinel.
 
 ``check_point`` applies whichever regime matches and reports the outcome
-with an absolute-plus-relative tolerance, tol * max(1, |gap|), so checks
-behave sensibly across many orders of magnitude.
+with the fixed absolute-plus-relative tolerance ``TOLERANCE * max(1, |gap|)``,
+so checks behave sensibly across many orders of magnitude.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from . import moments, special
 from .errors import DomainError, GaussGapError, SeriesDivergenceError
 from .types import MomentSpec
 
-# Absolute-plus-relative tolerance of ``check_point``, and the default of
-# every command that checks a bound.
-DEFAULT_TOLERANCE = 1e-9
+# Absolute-plus-relative tolerance of ``check_point``.
+TOLERANCE = 1e-9
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_4_SQRT_PI = math.log(4.0) + 0.5 * math.log(math.pi)
@@ -68,7 +67,6 @@ class GapEnvelope:
 class BoundReport:
     """Outcome of checking one parameter point against its bounds."""
 
-    spec: MomentSpec
     gap: float
     regime: str  # "same-sign" | "opposite-sign" | "trivial" | "error"
     bound: GapLowerBound | GapEnvelope | None
@@ -227,8 +225,7 @@ def pair_bound_int_int(m: int, n: int, sigma1: float, sigma2: float,
     return _finite_bound(value, (m, n))
 
 
-def check_point(spec: MomentSpec,
-                tol: float = DEFAULT_TOLERANCE) -> BoundReport:
+def check_point(spec: MomentSpec) -> BoundReport:
     """Compare the gap against its applicable bound(s) at one point.
 
     Computation errors become a failed-with-reason report instead of an
@@ -238,13 +235,13 @@ def check_point(spec: MomentSpec,
     try:
         g = moments.gap(spec)
     except GaussGapError as exc:
-        return BoundReport(spec, math.nan, "error", None, False, math.nan,
+        return BoundReport(math.nan, "error", None, False, math.nan,
                            (f"error:{type(exc).__name__}:{exc}",))
 
     a1, a2 = spec.alpha1, spec.alpha2
     if a1 == 0.0 or a2 == 0.0:
         # |X|^0 = 1 makes the two sides coincide; nothing to bound.
-        return BoundReport(spec, g, "trivial", None, True, 0.0, ())
+        return BoundReport(g, "trivial", None, True, 0.0, ())
 
     scale = max(1.0, abs(g)) if math.isfinite(g) else 1.0
     try:
@@ -254,22 +251,22 @@ def check_point(spec: MomentSpec,
                 # Degenerate |rho| = 1 with a non-integrable exponent sum:
                 # the product moment is +inf and the bound holds vacuously.
                 flags.append("gap-infinite")
-                return BoundReport(spec, g, "same-sign", bound, True,
+                return BoundReport(g, "same-sign", bound, True,
                                    math.inf, tuple(flags))
-            satisfied = g >= bound.value - tol * scale
-            return BoundReport(spec, g, "same-sign", bound, satisfied,
+            satisfied = g >= bound.value - TOLERANCE * scale
+            return BoundReport(g, "same-sign", bound, satisfied,
                                g - bound.value, tuple(flags))
         env = gap_envelope(spec)
-        upper_ok = g <= env.upper + tol * scale
+        upper_ok = g <= env.upper + TOLERANCE * scale
         if env.finite_lower:
-            lower_ok = env.lower - tol * scale <= g
+            lower_ok = env.lower - TOLERANCE * scale <= g
             slack = min(env.upper - g, g - env.lower)
         else:
             flags.append("vacuous-lower")
             lower_ok = True
             slack = env.upper - g
-        return BoundReport(spec, g, "opposite-sign", env,
+        return BoundReport(g, "opposite-sign", env,
                            upper_ok and lower_ok, slack, tuple(flags))
     except GaussGapError as exc:
-        return BoundReport(spec, g, "error", None, False, math.nan,
+        return BoundReport(g, "error", None, False, math.nan,
                            (f"error:{type(exc).__name__}:{exc}",))

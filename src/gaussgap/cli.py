@@ -7,10 +7,10 @@ bound values along a rho sweep, as CSV), and ``selftest`` (identity
 suites).
 
 Exit codes: 0 success, 1 inequality or identity violation, 2 invalid
-arguments, 3 numerical convergence or accuracy failure (for ``verify``:
-every row errored).  Diagnostics and
-machine-readable error objects go to stderr; results go to stdout or the
-``--output`` file.
+arguments, 3 numerical convergence or accuracy failure.  The error type
+picks 2 or 3, whether it was raised or recorded in ``gap``'s row; ``verify``
+exits 3 only when every row errored.  Diagnostics and machine-readable
+error objects go to stderr; results go to stdout or the ``--output`` file.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import os
 import sys
 
-from . import bounds, moments, oracles, selftest, verify
+from . import moments, oracles, selftest, verify
 from .errors import DomainError, GaussGapError, InfiniteVarianceError
 from .types import MomentSpec
 from .verify import (CSV_COLUMNS, OracleChoice, SweepConfig, row_to_csv_fields,
@@ -31,6 +31,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BAD_ARGS = 2
 EXIT_NO_CONVERGENCE = 3
+# Library errors that mean invalid arguments; any other is a numerical failure.
+BAD_ARGS_ERRORS = (DomainError, InfiniteVarianceError)
 
 
 def _emit_error(exc: Exception) -> None:
@@ -90,8 +92,7 @@ def cmd_moment(args) -> int:
 
 def cmd_gap(args) -> int:
     spec = _spec_from_args(args)
-    row = verify.evaluate_point(spec, 0, args.tolerance, OracleChoice.NONE,
-                                0, 0)
+    row = verify.evaluate_point(spec, 0)
     d = row_to_dict(row)
     print(f"gap        = {row.gap:.10g}")
     print(f"regime     = {row.regime}"
@@ -105,7 +106,9 @@ def cmd_gap(args) -> int:
           + (f"  flags={','.join(row.flags)}" if row.flags else ""))
     print(_json_line(d))
     if row.errored:
-        return EXIT_NO_CONVERGENCE
+        first = next(f for f in row.flags if f.startswith("error:"))
+        bad_args = first.split(":")[1] in {e.__name__ for e in BAD_ARGS_ERRORS}
+        return EXIT_BAD_ARGS if bad_args else EXIT_NO_CONVERGENCE
     return EXIT_OK if row.satisfied else EXIT_VIOLATION
 
 
@@ -113,9 +116,8 @@ def cmd_verify(args) -> int:
     config = SweepConfig(
         alpha1_values=args.alpha1, alpha2_values=args.alpha2,
         rho_values=args.rho, sigma1_values=args.sigma1,
-        sigma2_values=args.sigma2, tolerance=args.tolerance,
-        oracle=OracleChoice(args.oracle), mc_samples=args.mc_samples,
-        master_seed=args.seed)
+        sigma2_values=args.sigma2, oracle=OracleChoice(args.oracle),
+        mc_samples=args.mc_samples, master_seed=args.seed)
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     rows, summary = run_sweep(config, jobs)
 
@@ -155,8 +157,7 @@ def cmd_curve(args) -> int:
             rho = 0.99 * i / (count - 1)
             row = verify.evaluate_point(
                 MomentSpec(args.sigma1, args.sigma2, args.alpha1, args.alpha2,
-                           rho),
-                i, bounds.DEFAULT_TOLERANCE, OracleChoice.NONE, 0, 0)
+                           rho), i)
             lo = "" if row.bound_lower is None else (
                 "-inf" if row.bound_lower == -math.inf else repr(row.bound_lower))
             hi = "" if row.bound_upper is None else repr(row.bound_upper)
@@ -210,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gap", help="gap and bound report at one point")
     _add_spec_args(p)
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--tolerance", type=float, default=bounds.DEFAULT_TOLERANCE)
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser(
@@ -223,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=_float_list, default=verify.DEFAULT_RHOS)
     p.add_argument("--sigma1", type=_float_list, default=verify.DEFAULT_SIGMAS)
     p.add_argument("--sigma2", type=_float_list, default=verify.DEFAULT_SIGMAS)
-    p.add_argument("--tolerance", type=float, default=bounds.DEFAULT_TOLERANCE)
     p.add_argument("--oracle", choices=[c.value for c in OracleChoice],
                    default="none")
     p.add_argument("--mc-samples", type=int, default=verify.DEFAULT_MC_SAMPLES)
@@ -255,7 +254,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, InfiniteVarianceError) as exc:
+    except BAD_ARGS_ERRORS as exc:
         _emit_error(exc)
         return EXIT_BAD_ARGS
     except GaussGapError as exc:

@@ -9,7 +9,6 @@ a module attribute and confirm the selftest notices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,13 +46,12 @@ def _same_sign_pairs():
                 yield a1, a2
 
 
-def euler_transform_suite(n: int = 200,
-                          seed: int = DEFAULT_SEED) -> SuiteResult:
+def euler_transform_suite(seed: int) -> SuiteResult:
     """F(a,b;c;z) must equal (1-z)^(c-a-b) F(c-a,c-b;c;z) to 1e-10."""
     res = SuiteResult("euler-transform")
     rng = np.random.default_rng(seed)
     drawn = 0
-    while drawn < n:
+    while drawn < 200:
         a = float(rng.uniform(-3.0, 3.0))
         b = float(rng.uniform(-3.0, 3.0))
         c = float(rng.uniform(0.5, 5.0))
@@ -68,8 +66,7 @@ def euler_transform_suite(n: int = 200,
     return res
 
 
-def gauss_summation_suite(n: int = 20,
-                          seed: int = DEFAULT_SEED) -> SuiteResult:
+def gauss_summation_suite(seed: int) -> SuiteResult:
     """Summation just below z = 1 must approach the closed z = 1 value.
 
     F(1) - F(1 - eps) scales like F'(1) * eps plus a (eps)^(c-a-b) boundary
@@ -84,7 +81,7 @@ def gauss_summation_suite(n: int = 20,
     eps = 1e-6
     z = 1.0 - eps
     drawn = 0
-    while drawn < n:
+    while drawn < 20:
         a = float(rng.uniform(-1.5, 1.5))
         b = float(rng.uniform(-1.5, 1.5))
         s = float(rng.uniform(1.2, 2.5))
@@ -104,13 +101,13 @@ def gauss_summation_suite(n: int = 20,
     return res
 
 
-def derivative_suite(n: int = 100, seed: int = DEFAULT_SEED) -> SuiteResult:
+def derivative_suite(seed: int) -> SuiteResult:
     """Analytic dF/dz must match central finite differences to 1e-6."""
     res = SuiteResult("derivative")
     rng = np.random.default_rng(seed)
     h = 1e-6
     drawn = 0
-    while drawn < n:
+    while drawn < 100:
         a = float(rng.uniform(-3.0, 3.0))
         b = float(rng.uniform(-3.0, 3.0))
         c = float(rng.uniform(0.5, 5.0))
@@ -171,9 +168,9 @@ def bound_consistency_suite() -> SuiteResult:
 
 def run_all(seed: int = DEFAULT_SEED) -> list[SuiteResult]:
     return [
-        euler_transform_suite(seed=seed),
-        gauss_summation_suite(seed=seed),
-        derivative_suite(seed=seed),
+        euler_transform_suite(seed),
+        gauss_summation_suite(seed),
+        derivative_suite(seed),
         gap_dual_path_suite(),
         bound_consistency_suite(),
     ]

@@ -234,25 +234,15 @@ def euler_transform(a: float, b: float, c: float, z: float) -> float:
 
 def hyp3f2(a1: float, a2: float, a3: float, b1: float, b2: float,
            z: float) -> SeriesResult:
-    """Generalized hypergeometric series 3F2(a1, a2, a3; b1, b2; z).
-
-    z = 1 is admitted only when the series terminates or the standard
-    convergence condition b1 + b2 - a1 - a2 - a3 > 0 holds.
-    """
+    """Hypergeometric series 3F2(a1, a2, a3; b1, b2; z) for z in [0, 1)."""
     _check_lower((b1, b2), "hyp3f2 lower")
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"hyp3f2 requires z in [0, 1], got {z}")
-    if z == 1.0:
-        terminating = any(_is_nonpos_int(p) for p in (a1, a2, a3))
-        if not terminating and not b1 + b2 - a1 - a2 - a3 > 0:
-            raise SeriesDivergenceError(
-                "3F2 at z = 1 requires termination or "
-                f"sum(lower) - sum(upper) > 0, got {b1 + b2 - a1 - a2 - a3}")
+    if not 0.0 <= z < 1.0:
+        raise DomainError(f"hyp3f2 requires z in [0, 1), got {z}")
     return _sum_pfq((a1, a2, a3), (b1, b2), z)
 
 
 def hyp_integral_rep(a1: float, a2: float, a3: float, b1: float, b2: float,
-                     z: float, rel_err: float = 1e-9) -> float:
+                     z: float) -> float:
     """3F2 via its standard integral representation over a 2F1 kernel.
 
     3F2(a1, a2, a3; b1, b2; z) =
@@ -275,7 +265,7 @@ def hyp_integral_rep(a1: float, a2: float, a3: float, b1: float, b2: float,
         weight = t ** (a3 - 1.0) * (1.0 - t) ** (b2 - a3 - 1.0)
         return weight * _sum_pfq((a1, a2), (b1,), z * t).value
 
-    res = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=rel_err,
+    res = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-9,
                limit=200, full_output=1)
     value, abserr = res[0], res[1]
     if len(res) > 3:

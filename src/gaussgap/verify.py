@@ -21,7 +21,7 @@ from itertools import repeat
 from . import bounds as bounds_mod
 from . import moments as moments_mod
 from . import oracles as oracles_mod
-from .bounds import DEFAULT_TOLERANCE, GapEnvelope, GapLowerBound
+from .bounds import GapEnvelope, GapLowerBound
 from .errors import DomainError, GaussGapError
 from .types import MomentSpec
 
@@ -65,20 +65,16 @@ class SweepConfig:
     rho_values: tuple[float, ...] = DEFAULT_RHOS
     sigma1_values: tuple[float, ...] = DEFAULT_SIGMAS
     sigma2_values: tuple[float, ...] = DEFAULT_SIGMAS
-    tolerance: float = DEFAULT_TOLERANCE
     oracle: OracleChoice = OracleChoice.NONE
     mc_samples: int = DEFAULT_MC_SAMPLES
     master_seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if not all(a > -1 for a in self.alpha1_values + self.alpha2_values):
-            raise DomainError("all exponents must exceed -1")
-        if not all(abs(r) <= 1 for r in self.rho_values):
-            raise DomainError("all correlations must lie in [-1, 1]")
-        if not all(s > 0 for s in self.sigma1_values + self.sigma2_values):
-            raise DomainError("all scales must be positive")
-        if not self.tolerance > 0:
-            raise DomainError("tolerance must be positive")
+        # Range checks live in MomentSpec, which grid() runs on every point
+        # before any is evaluated.
+        for name in ("alpha1", "alpha2", "rho", "sigma1", "sigma2"):
+            if not getattr(self, f"{name}_values"):
+                raise DomainError(f"the {name} list is empty")
 
     def grid(self) -> list[MomentSpec]:
         return [MomentSpec(s1, s2, a1, a2, r)
@@ -166,11 +162,12 @@ def row_to_csv_fields(row: ReportRow) -> list[str]:
     return out
 
 
-def evaluate_point(spec: MomentSpec, index: int, tolerance: float,
-                   oracle: OracleChoice, mc_samples: int,
-                   master_seed: int) -> ReportRow:
+def evaluate_point(spec: MomentSpec, index: int,
+                   oracle: OracleChoice = OracleChoice.NONE,
+                   mc_samples: int = DEFAULT_MC_SAMPLES,
+                   master_seed: int = DEFAULT_SEED) -> ReportRow:
     """Check one grid point and attach any requested oracle columns."""
-    report = bounds_mod.check_point(spec, tolerance)
+    report = bounds_mod.check_point(spec)
     flags = list(report.flags)
 
     moment = None
@@ -241,9 +238,8 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> tuple[list[ReportRow], dict
     grid = config.grid()
     # A list, a range and endless repeats: the serial map can walk them
     # again after a pool failed part way.
-    points = (grid, range(len(grid)), repeat(config.tolerance),
-              repeat(config.oracle), repeat(config.mc_samples),
-              repeat(config.master_seed))
+    points = (grid, range(len(grid)), repeat(config.oracle),
+              repeat(config.mc_samples), repeat(config.master_seed))
     rows = None
     if jobs > 1 and len(grid) > 1:
         try:

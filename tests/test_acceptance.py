@@ -22,9 +22,8 @@ import time
 
 import numpy as np
 
-from gaussgap.bounds import (BoundCase, check_point, gap_envelope,
-                             gap_lower_bound, pair_bound_int_int,
-                             pair_bound_int_one, pair_bound_small)
+from gaussgap.bounds import (gap_envelope, gap_lower_bound,
+                             pair_bound_int_int, pair_bound_int_one)
 from gaussgap.errors import InfiniteVarianceError
 from gaussgap.moments import (gap, gap_via_3f2, product_moment,
                               product_moment_rho_one, product_of_marginals)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussgap import bounds, special
+from gaussgap import bounds, moments, special
 from gaussgap.bounds import (BoundCase, GapEnvelope, GapLowerBound,
                              check_point, gap_envelope, gap_lower_bound,
                              pair_bound_int_int, pair_bound_int_one,
@@ -286,6 +286,31 @@ class TestCheckPoint:
         assert rep.regime == "same-sign"
         assert rep.satisfied
         assert isinstance(rep.bound, GapLowerBound)
+
+
+class TestCheckPointTolerance:
+    """A gap half the tolerance TOLERANCE * max(1, |gap|) past its bound is
+    accepted; one twice that far is not."""
+
+    @pytest.mark.parametrize("spec, end", [
+        (MomentSpec(1, 1, 1, 1, 0.5), "lower"),  # same-sign, 0.080
+        (MomentSpec(2, 2, 2, 2, 0.9), "lower"),  # same-sign, 25.9
+        (MomentSpec(1, 1, -0.5, 3, 0.5), "lower"),  # -0.51
+        (MomentSpec(1, 1, -0.5, 3, 0.5), "upper"),  # -0.15
+        (MomentSpec(1, 4, -0.5, 3, 0.9), "lower"),  # -106.7
+        (MomentSpec(1, 4, -0.5, 3, 0.9), "upper"),  # -32.0
+    ])
+    @pytest.mark.parametrize("multiple, satisfied", [(0.5, True),
+                                                     (2.0, False)])
+    def test_margin(self, spec, end, multiple, satisfied, monkeypatch):
+        if spec.alpha1 * spec.alpha2 > 0:
+            edge = gap_lower_bound(spec).value
+        else:
+            edge = getattr(gap_envelope(spec), end)
+        outward = -1.0 if end == "lower" else 1.0
+        g = edge + outward * multiple * bounds.TOLERANCE * max(1.0, abs(edge))
+        monkeypatch.setattr(moments, "gap", lambda s: g)
+        assert check_point(spec).satisfied is satisfied
 
 
 class TestRhoFreeFactorCaches:

@@ -60,10 +60,8 @@ def test_check_point(spec):
 
 @given(specs())
 def test_evaluate_point(spec):
-    returns_or_raises_library_error(
-        lambda s: verify.evaluate_point(s, 0, bounds.DEFAULT_TOLERANCE,
-                                        verify.OracleChoice.NONE, 0, 0),
-        spec)
+    returns_or_raises_library_error(lambda s: verify.evaluate_point(s, 0),
+                                    spec)
 
 
 @given(specs())

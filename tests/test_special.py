@@ -195,11 +195,12 @@ class TestHyp3f2:
         want = hyp_integral_rep(1.25, 0.75, 1.0, 1.5, 2.0, 0.25)
         assert rel_err(got.value, want) < 1e-8
 
-    def test_at_one_convergence_condition(self):
-        with pytest.raises(SeriesDivergenceError):
-            hyp3f2(1.0, 1.0, 1.0, 1.5, 1.5, 1.0)  # balance 0, diverges
-        # terminating at z = 1 is fine
-        assert hyp3f2(0.0, 2.0, 1.0, 1.5, 2.0, 1.0).value == 1.0
+    def test_rejects_z_one(self):
+        # z = 1 lies outside [0, 1) whether the series diverges or terminates
+        with pytest.raises(DomainError):
+            hyp3f2(1.0, 1.0, 1.0, 1.5, 1.5, 1.0)  # balance 0
+        with pytest.raises(DomainError):
+            hyp3f2(0.0, 2.0, 1.0, 1.5, 2.0, 1.0)  # terminating
 
     def test_lower_validation(self):
         with pytest.raises(DomainError):

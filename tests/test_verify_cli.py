@@ -68,8 +68,7 @@ class TestSweep:
         cold = []
         for i, spec in enumerate(config.grid()):
             clear_caches()
-            cold.append(evaluate_point(spec, i, config.tolerance,
-                                       OracleChoice.NONE, 0, 0))
+            cold.append(evaluate_point(spec, i))
         assert rows == cold
 
     def test_pool_oserror_falls_back_with_one_notice(self, monkeypatch,
@@ -220,8 +219,7 @@ class TestWarmSweepBytes:
         cold = []
         for i, spec in enumerate(self.CONFIG.grid()):
             clear_caches()
-            cold.append(evaluate_point(spec, i, 1e-9, OracleChoice.NONE,
-                                       0, 0))
+            cold.append(evaluate_point(spec, i))
         lines = [_reference_line(row, fmt) for row in cold]
         if fmt == "csv":
             lines.insert(0, ",".join(CSV_COLUMNS))
@@ -248,8 +246,8 @@ class TestWarmSweepBytes:
 
 class TestSerialization:
     def test_row_to_dict_is_the_per_field_mapping(self):
-        rows = [evaluate_point(spec, i, 1e-9, OracleChoice.NONE, 0, 0)
-                for i, spec in enumerate(TestWarmSweepBytes.CONFIG.grid())]
+        rows = [evaluate_point(spec, i) for i, spec
+                in enumerate(TestWarmSweepBytes.CONFIG.grid())]
         base = rows[0]
         specials = (math.nan, math.inf, -math.inf, 0.0, -0.0, None)
         for k, value in enumerate(specials):
@@ -272,24 +270,21 @@ class TestSerialization:
             if isinstance(v, str)}
 
     def test_json_row_has_all_fields(self):
-        row = evaluate_point(MomentSpec(1, 1, 1, 1, 0.5), 3, 1e-9,
-                             OracleChoice.NONE, 0, 0)
+        row = evaluate_point(MomentSpec(1, 1, 1, 1, 0.5), 3)
         d = row_to_dict(row)
         assert set(d) == set(CSV_COLUMNS)
         assert d["oracle_quad_value"] is None  # explicit null, not omitted
         json.dumps(d)  # must be serializable as-is
 
     def test_infinities_serialize_as_strings(self):
-        row = evaluate_point(MomentSpec(1, 1, -0.9, 0.05, 0.5), 0, 1e-9,
-                             OracleChoice.NONE, 0, 0)
+        row = evaluate_point(MomentSpec(1, 1, -0.9, 0.05, 0.5), 0)
         d = row_to_dict(row)
         assert d["bound_lower"] == "-inf"
         text = json.dumps(d)
         assert "Infinity" not in text
 
     def test_csv_fields_align_with_header(self):
-        row = evaluate_point(MomentSpec(1, 1, -0.5, 2, 0.5), 1, 1e-9,
-                             OracleChoice.NONE, 0, 0)
+        row = evaluate_point(MomentSpec(1, 1, -0.5, 2, 0.5), 1)
         fields = row_to_csv_fields(row)
         assert len(fields) == len(CSV_COLUMNS)
 
@@ -354,14 +349,26 @@ class TestCliGap:
         assert record["regime"] == "same-sign"
         assert abs(record["gap"] - 0.08137578972087737) < 1e-12
 
-    def test_overflow_exits_three_without_traceback(self, capsys):
+    def test_overflow_exits_two_without_traceback(self, capsys):
+        # the same exit code as `moment` at the same point
         code, out, err = run_cli(["gap", "--alpha1", "200", "--alpha2", "200",
                                   "--rho", "0.5"], capsys)
-        assert code == 3
+        assert code == 2
         record = json.loads(out.splitlines()[-1])
         assert record["regime"] == "error"
         assert record["flags"][0].startswith("error:DomainError:")
         assert "Traceback" not in err
+
+    def test_convergence_error_exits_three(self, capsys, monkeypatch):
+        def no_convergence(a, b, c, z):
+            raise ConvergenceError("patched")
+
+        monkeypatch.setattr(special, "hyp2f1_minus_one", no_convergence)
+        code, out, _ = run_cli(["gap", "--alpha1", "1", "--alpha2", "1",
+                                "--rho", "0.5"], capsys)
+        assert code == 3
+        record = json.loads(out.splitlines()[-1])
+        assert record["flags"][0] == "error:ConvergenceError:patched"
 
     def test_vacuous_flagged(self, capsys):
         code, out, _ = run_cli(["gap", "--alpha1", "-0.5", "--alpha2", "1",
@@ -429,6 +436,24 @@ class TestCliVerify:
     def test_bad_float_list(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--alpha1", "1,zebra"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("arg", ["--rho=", "--alpha1=-3"])
+    def test_empty_or_out_of_range_list_exits_two(self, arg, capsys):
+        code, out, err = run_cli(["verify", arg, "--jobs", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.splitlines()[-1])["error"] == "DomainError"
+
+    @pytest.mark.parametrize("command", ["gap", "verify"])
+    def test_no_tolerance_option(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--tolerance" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--alpha1", "1", "--alpha2", "1", "--rho",
+                      "0.5", "--tolerance", "1e-9"])
         assert exc.value.code == 2
 
 
