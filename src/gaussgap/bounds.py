@@ -96,7 +96,7 @@ def _lower_bound_scale(sigma1: float, sigma2: float, a1: float,
         case = BoundCase.SAME_SIGN_MAIN
         log_scale += (math.lgamma(0.5 * (a1 + 1.0))
                       + math.lgamma(0.5 * (a2 + 1.0)) - _LOG_2PI)
-    return moments.exp_of_log(log_scale), case
+    return special.exp_of_log(log_scale), case
 
 
 def gap_lower_bound(spec: MomentSpec) -> GapLowerBound:
@@ -123,7 +123,7 @@ def _envelope_scale(sigma1: float, sigma2: float, a1: float,
     Summed in one pass, not as ``_lower_bound_scale``'s main branch: the
     two associate differently and may differ in the last bit.
     """
-    return moments.exp_of_log(0.5 * (a1 + a2) * math.log(2.0)
+    return special.exp_of_log(0.5 * (a1 + a2) * math.log(2.0)
                               + a1 * math.log(sigma1) + a2 * math.log(sigma2)
                               + math.lgamma(0.5 * (a1 + 1.0))
                               + math.lgamma(0.5 * (a2 + 1.0)) - _LOG_2PI)

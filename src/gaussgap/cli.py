@@ -8,24 +8,25 @@ suites).
 
 Exit codes: 0 success, 1 inequality or identity violation, 2 invalid
 arguments, 3 numerical convergence or accuracy failure.  The error type
-picks 2 or 3, whether it was raised or recorded in ``gap``'s row; ``verify``
-exits 3 only when every row errored.  Diagnostics and machine-readable
-error objects go to stderr; results go to stdout or the ``--output`` file.
+picks 2 or 3, whether it was raised or recorded in the ``verify.ReportRow``
+rows that ``gap``, ``verify`` and ``curve`` emit; those three share one
+rule, ``_exit_code``.  Diagnostics and machine-readable error objects go
+to stderr; results go to stdout or the ``--output`` file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import math
 import os
 import sys
 
 from . import moments, oracles, selftest, verify
 from .errors import DomainError, GaussGapError, InfiniteVarianceError
 from .types import MomentSpec
-from .verify import (CSV_COLUMNS, OracleChoice, SweepConfig, row_to_csv_fields,
-                     row_to_dict, run_sweep)
+from .verify import (CSV_COLUMNS, OracleChoice, ReportRow, SweepConfig,
+                     row_to_csv_fields, row_to_dict, run_sweep)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -48,16 +49,40 @@ def _json_line(obj) -> str:
 
 
 def _float_list(text: str) -> tuple[float, ...]:
+    """Comma-separated floats; "" is the empty list, an empty token bad."""
+    if not text.strip():
+        return ()
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
 
 
-def _open_output(path: str | None):
+def _output(path: str | None):
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def _write_csv(path: str | None, rows: list[ReportRow],
+               columns: tuple[str, ...]) -> None:
+    with _output(path) as stream:
+        stream.write(",".join(columns) + "\n")
+        for row in rows:
+            stream.write(",".join(row_to_csv_fields(row, columns)) + "\n")
+
+
+def _exit_code(rows: list[ReportRow]) -> int:
+    """1 if a row that did not error is unsatisfied; 2 or 3 when every row
+    errored, by the first row's ``error:<Type>:`` flag, the way ``main``
+    maps a raised error; otherwise 0."""
+    if any(not row.satisfied and not row.errored for row in rows):
+        return EXIT_VIOLATION
+    if all(row.errored for row in rows):
+        first = next(f for f in rows[0].flags if f.startswith("error:"))
+        bad_args = first.split(":")[1] in {e.__name__ for e in BAD_ARGS_ERRORS}
+        return EXIT_BAD_ARGS if bad_args else EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 def _spec_from_args(args) -> MomentSpec:
@@ -93,7 +118,6 @@ def cmd_moment(args) -> int:
 def cmd_gap(args) -> int:
     spec = _spec_from_args(args)
     row = verify.evaluate_point(spec, 0)
-    d = row_to_dict(row)
     print(f"gap        = {row.gap:.10g}")
     print(f"regime     = {row.regime}"
           + (f" ({row.case_tag})" if row.case_tag else ""))
@@ -104,12 +128,8 @@ def cmd_gap(args) -> int:
     print(f"slack      = {row.slack:.10g}")
     print(f"satisfied  = {str(row.satisfied).lower()}"
           + (f"  flags={','.join(row.flags)}" if row.flags else ""))
-    print(_json_line(d))
-    if row.errored:
-        first = next(f for f in row.flags if f.startswith("error:"))
-        bad_args = first.split(":")[1] in {e.__name__ for e in BAD_ARGS_ERRORS}
-        return EXIT_BAD_ARGS if bad_args else EXIT_NO_CONVERGENCE
-    return EXIT_OK if row.satisfied else EXIT_VIOLATION
+    print(_json_line(row_to_dict(row)))
+    return _exit_code([row])
 
 
 def cmd_verify(args) -> int:
@@ -121,51 +141,32 @@ def cmd_verify(args) -> int:
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     rows, summary = run_sweep(config, jobs)
 
-    stream, close_it = _open_output(args.output)
-    try:
-        if args.format == "csv":
-            stream.write(",".join(CSV_COLUMNS) + "\n")
-            for row in rows:
-                stream.write(",".join(row_to_csv_fields(row)) + "\n")
-        else:
+    if args.format == "csv":
+        _write_csv(args.output, rows, CSV_COLUMNS)
+    else:
+        with _output(args.output) as stream:
             for row in rows:
                 stream.write(_json_line(row_to_dict(row)) + "\n")
-    finally:
-        if close_it:
-            stream.close()
 
     summary_line = ("checked={checked} satisfied={satisfied} "
                     "violations={violations} vacuous_lower={vacuous_lower} "
                     "errored={errored} oracle_mismatches={oracle_mismatches}"
                     .format(**summary))
-    print(summary_line, file=sys.stdout if close_it else sys.stderr)
-    if summary["violations"]:
-        return EXIT_VIOLATION
-    if summary["errored"] == summary["checked"] > 0:
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    print(summary_line, file=sys.stderr if args.output is None else sys.stdout)
+    return _exit_code(rows)
 
 
 def cmd_curve(args) -> int:
     count = args.rho_count
     if count < 2:
         raise DomainError(f"rho count must be at least 2, got {count}")
-    stream, close_it = _open_output(args.output)
-    try:
-        stream.write("rho,gap,bound_lower,bound_upper\n")
-        for i in range(count):
-            rho = 0.99 * i / (count - 1)
-            row = verify.evaluate_point(
-                MomentSpec(args.sigma1, args.sigma2, args.alpha1, args.alpha2,
-                           rho), i)
-            lo = "" if row.bound_lower is None else (
-                "-inf" if row.bound_lower == -math.inf else repr(row.bound_lower))
-            hi = "" if row.bound_upper is None else repr(row.bound_upper)
-            stream.write(f"{rho!r},{row.gap!r},{lo},{hi}\n")
-    finally:
-        if close_it:
-            stream.close()
-    return EXIT_OK
+    config = SweepConfig(
+        alpha1_values=(args.alpha1,), alpha2_values=(args.alpha2,),
+        rho_values=tuple(0.99 * i / (count - 1) for i in range(count)),
+        sigma1_values=(args.sigma1,), sigma2_values=(args.sigma2,))
+    rows, _ = run_sweep(config)
+    _write_csv(args.output, rows, ("rho", "gap", "bound_lower", "bound_upper"))
+    return _exit_code(rows)
 
 
 def cmd_selftest(args) -> int:

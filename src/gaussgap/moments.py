@@ -37,15 +37,6 @@ from .types import MomentSpec
 _LOG_PI = math.log(math.pi)
 
 
-def exp_of_log(log_value: float) -> float:
-    """exp(log_value), raising ``DomainError`` past the float64 range."""
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise DomainError(f"value exp({log_value:.6g}) overflows float64; "
-                          "exponents are too large") from None
-
-
 # Bounded, so a caller streaming distinct keys cannot grow it without
 # limit; the default verify grid uses 900 keys.
 @functools.lru_cache(maxsize=4096)
@@ -70,7 +61,7 @@ def abs_moment_1d(sigma: float, alpha: float) -> float:
         raise DomainError(f"alpha must exceed -1, got {alpha}")
     log_val = (0.5 * alpha * math.log(2.0) + alpha * math.log(sigma)
                + math.lgamma(0.5 * (alpha + 1.0)) - 0.5 * _LOG_PI)
-    return exp_of_log(log_val)
+    return special.exp_of_log(log_val)
 
 
 # Bounded like ``correlation_factor``; the default grid uses 900 keys.
@@ -82,12 +73,12 @@ def prefactor(sigma1: float, sigma2: float, alpha1: float,
     Memoized per (sigma1, sigma2, alpha1, alpha2), passed positionally;
     a ``DomainError`` past the float range is not cached.
     """
-    return exp_of_log(0.5 * (alpha1 + alpha2) * math.log(2.0)
-                      + alpha1 * math.log(sigma1)
-                      + alpha2 * math.log(sigma2)
-                      + math.lgamma(0.5 * (alpha1 + 1.0))
-                      + math.lgamma(0.5 * (alpha2 + 1.0))
-                      - _LOG_PI)
+    return special.exp_of_log(0.5 * (alpha1 + alpha2) * math.log(2.0)
+                              + alpha1 * math.log(sigma1)
+                              + alpha2 * math.log(sigma2)
+                              + math.lgamma(0.5 * (alpha1 + 1.0))
+                              + math.lgamma(0.5 * (alpha2 + 1.0))
+                              - _LOG_PI)
 
 
 def product_of_marginals(spec: MomentSpec) -> float:

@@ -37,6 +37,8 @@ TAIL_RADIUS_SIGMAS = 12.0
 TARGET_REL_ERR = 1e-9
 MAX_SUBDIVISIONS = 2 ** 15
 INNER_SUBDIVISIONS = MAX_SUBDIVISIONS // 64
+# Fewest Monte Carlo samples a run may draw.
+MIN_MC_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -45,9 +47,9 @@ class McConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_samples < 1000:
-            raise DomainError(f"n_samples must be at least 1000, got "
-                              f"{self.n_samples}")
+        if self.n_samples < MIN_MC_SAMPLES:
+            raise DomainError(f"n_samples must be at least {MIN_MC_SAMPLES}, "
+                              f"got {self.n_samples}")
         if (isinstance(self.seed, bool)
                 or not isinstance(self.seed, numbers.Integral)
                 or not 0 <= self.seed <= _MASK64):

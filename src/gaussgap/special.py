@@ -48,6 +48,15 @@ class SeriesResult:
     terminated: bool
 
 
+def exp_of_log(log_value: float) -> float:
+    """exp(log_value), raising ``DomainError`` past the float64 range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"value exp({log_value:.6g}) overflows float64; "
+                          "exponents are too large") from None
+
+
 def _is_nonpos_int(x: float) -> bool:
     return x <= 0 and math.isfinite(x) and float(x).is_integer()
 
@@ -193,7 +202,8 @@ def hyp2f1_at_one(a: float, b: float, c: float) -> float:
 
     For non-terminating parameters the value exists only when
     c - a - b > 0; otherwise ``SeriesDivergenceError`` is raised and
-    callers map it to an infinite-bound sentinel.
+    callers map it to an infinite-bound sentinel.  A value past the
+    float64 range raises ``DomainError``.
     """
     _check_lower((c,), "hyp2f1 lower")
     stop_points = [int(-p) for p in (a, b) if _is_nonpos_int(p)]
@@ -212,7 +222,7 @@ def hyp2f1_at_one(a: float, b: float, c: float) -> float:
             return 0.0
         sign *= _gamma_sign(x)
         log_val -= math.lgamma(x)
-    return sign * math.exp(log_val)
+    return sign * exp_of_log(log_val)
 
 
 def hyp2f1_derivative(a: float, b: float, c: float, z: float) -> float:

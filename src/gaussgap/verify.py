@@ -3,10 +3,11 @@
 A sweep walks the cross product of the configured parameter lists, checks
 every point against its applicable gap bound, optionally compares the
 closed-form moment against the quadrature and Monte Carlo oracles, and
-emits one ``ReportRow`` per point in deterministic grid order.  Rows
-serialize to JSON lines or CSV with a fixed field set; missing oracle
-values are explicit nulls and infinite sentinels become the strings
-"+inf" / "-inf" so the output stays portable.
+emits one ``ReportRow`` per point in deterministic grid order.  The
+fields of ``ReportRow`` are the output columns, in order: rows serialize
+to JSON lines with every field, or to CSV with a chosen list of columns.
+Missing oracle values are explicit nulls and infinite sentinels become
+the strings "+inf" / "-inf" so the output stays portable.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from . import bounds as bounds_mod
 from . import moments as moments_mod
@@ -33,15 +35,6 @@ DEFAULT_SIGMAS = (0.5, 1.0, 2.0)
 DEFAULT_MC_SAMPLES = 100_000
 # Master seed of the Monte Carlo oracle and of the selftest draws.
 DEFAULT_SEED = 20240913
-
-CSV_COLUMNS = (
-    "index", "sigma1", "sigma2", "alpha1", "alpha2", "rho", "regime",
-    "case_tag", "moment", "gap", "bound_lower", "bound_upper",
-    "finite_lower", "satisfied", "slack",
-    "oracle_quad_value", "oracle_quad_error", "oracle_quad_dev",
-    "oracle_mc_value", "oracle_mc_error", "oracle_mc_dev", "flags",
-)
-
 
 class OracleChoice(enum.Enum):
     NONE = "none"
@@ -75,6 +68,11 @@ class SweepConfig:
         for name in ("alpha1", "alpha2", "rho", "sigma1", "sigma2"):
             if not getattr(self, f"{name}_values"):
                 raise DomainError(f"the {name} list is empty")
+        if (self.oracle.wants_mc
+                and self.mc_samples < oracles_mod.MIN_MC_SAMPLES):
+            raise DomainError(f"mc_samples must be at least "
+                              f"{oracles_mod.MIN_MC_SAMPLES}, got "
+                              f"{self.mc_samples}")
 
     def grid(self) -> list[MomentSpec]:
         return [MomentSpec(s1, s2, a1, a2, r)
@@ -85,10 +83,15 @@ class SweepConfig:
                 for s2 in self.sigma2_values]
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
+    """One output row; the fields, in order, are the output columns."""
+
     index: int
-    spec: MomentSpec
+    sigma1: float
+    sigma2: float
+    alpha1: float
+    alpha2: float
+    rho: float
     regime: str
     case_tag: str | None
     moment: float | None
@@ -98,13 +101,13 @@ class ReportRow:
     finite_lower: bool | None
     satisfied: bool
     slack: float
-    oracle_quad_value: float | None = None
-    oracle_quad_error: float | None = None
-    oracle_quad_dev: float | None = None
-    oracle_mc_value: float | None = None
-    oracle_mc_error: float | None = None
-    oracle_mc_dev: float | None = None
-    flags: tuple[str, ...] = ()
+    oracle_quad_value: float | None
+    oracle_quad_error: float | None
+    oracle_quad_dev: float | None
+    oracle_mc_value: float | None
+    oracle_mc_error: float | None
+    oracle_mc_dev: float | None
+    flags: tuple[str, ...]
 
     @property
     def errored(self) -> bool:
@@ -115,51 +118,37 @@ class ReportRow:
         return "vacuous-lower" in self.flags
 
 
+CSV_COLUMNS = ReportRow._fields
+
+
 def _jsonable(value):
+    """A JSON-ready value: non-finite floats become strings, tuples lists."""
     if isinstance(value, float) and not math.isfinite(value):
         if math.isnan(value):
             return "nan"
         return "+inf" if value > 0 else "-inf"
+    if isinstance(value, tuple):
+        return list(value)
     return value
 
 
 def row_to_dict(row: ReportRow) -> dict:
-    # Only the value columns can hold a non-finite float: MomentSpec
-    # admits finite scales, exponents and correlations only.
-    spec = row.spec
-    return {
-        "index": row.index,
-        "sigma1": spec.sigma1, "sigma2": spec.sigma2,
-        "alpha1": spec.alpha1, "alpha2": spec.alpha2, "rho": spec.rho,
-        "regime": row.regime, "case_tag": row.case_tag,
-        "moment": _jsonable(row.moment), "gap": _jsonable(row.gap),
-        "bound_lower": _jsonable(row.bound_lower),
-        "bound_upper": _jsonable(row.bound_upper),
-        "finite_lower": row.finite_lower,
-        "satisfied": row.satisfied, "slack": _jsonable(row.slack),
-        "oracle_quad_value": _jsonable(row.oracle_quad_value),
-        "oracle_quad_error": _jsonable(row.oracle_quad_error),
-        "oracle_quad_dev": _jsonable(row.oracle_quad_dev),
-        "oracle_mc_value": _jsonable(row.oracle_mc_value),
-        "oracle_mc_error": _jsonable(row.oracle_mc_error),
-        "oracle_mc_dev": _jsonable(row.oracle_mc_dev),
-        "flags": list(row.flags),
-    }
+    return dict(zip(ReportRow._fields, map(_jsonable, row)))
 
 
-def row_to_csv_fields(row: ReportRow) -> list[str]:
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ";".join(value)
+    return str(value)
+
+
+def row_to_csv_fields(row: ReportRow, columns: tuple[str, ...]) -> list[str]:
     d = row_to_dict(row)
-    d["flags"] = ";".join(row.flags)
-    out = []
-    for col in CSV_COLUMNS:
-        v = d[col]
-        if v is None:
-            out.append("")
-        elif isinstance(v, bool):
-            out.append("true" if v else "false")
-        else:
-            out.append(str(v))
-    return out
+    return [_csv_cell(d[col]) for col in columns]
 
 
 def evaluate_point(spec: MomentSpec, index: int,
@@ -215,7 +204,9 @@ def evaluate_point(spec: MomentSpec, index: int,
                 flags.append(f"oracle-mc-refused:{type(exc).__name__}")
 
     return ReportRow(
-        index=index, spec=spec, regime=report.regime, case_tag=case_tag,
+        index=index, sigma1=spec.sigma1, sigma2=spec.sigma2,
+        alpha1=spec.alpha1, alpha2=spec.alpha2, rho=spec.rho,
+        regime=report.regime, case_tag=case_tag,
         moment=moment, gap=report.gap, bound_lower=bound_lower,
         bound_upper=bound_upper, finite_lower=finite_lower,
         satisfied=report.satisfied, slack=report.slack,

@@ -269,6 +269,12 @@ class TestCheckPoint:
         assert not rep.satisfied
         assert rep.flags[0].startswith("error:DomainError:")
 
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_overflowing_degenerate_gap_becomes_domain_error(self, rho):
+        rep = check_point(MomentSpec(1, 1, 2000.5, 2000.5, rho))
+        assert rep.regime == "error"
+        assert rep.flags[0].startswith("error:DomainError:")
+
     def test_overflowing_bounds_raise_domain_error(self):
         with pytest.raises(DomainError, match="overflows"):
             gap_lower_bound(MomentSpec(1, 1, 200, 200, 0.5))

@@ -1,20 +1,24 @@
 """The domain contract: on the whole documented domain, every entry point
 returns a value or raises a ``GaussGapError``, and leaks no other
-exception and no numpy warning.
+exception and no numpy warning; ``gaussgap gap`` exits 0 to 3.
 
 Scales lie in [1e-3, 1e3] (equal at |rho| = 1, which forces them),
 exponents in (-1, 400] with 0 and 2 drawn often, and correlations in
 [-0.99, 0.99] with 0 and +-1 drawn often.  Exponents in the hundreds
 overflow the prefactor and the Monte Carlo samples, which must surface
-as ``DomainError``.
+as ``DomainError``.  Exponents in (1e3, 1e4) at |rho| = 1 overflow the
+Gamma ratio of F(.; 1) first, which must too.
 """
 
+import contextlib
+import io
 import warnings
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from gaussgap import bounds, moments, oracles, verify
+from gaussgap import bounds, cli, moments, oracles, verify
 from gaussgap.errors import GaussGapError
 from gaussgap.types import MomentSpec
 
@@ -30,6 +34,14 @@ def specs(draw):
     sigma1 = draw(SIGMAS)
     sigma2 = sigma1 if abs(rho) == 1.0 else draw(SIGMAS)
     return MomentSpec(sigma1, sigma2, draw(ALPHAS), draw(ALPHAS), rho)
+
+
+@st.composite
+def large_degenerate_specs(draw):
+    sigma = draw(SIGMAS)
+    alphas = st.floats(1e3, 1e4, exclude_min=True, exclude_max=True)
+    return MomentSpec(sigma, sigma, draw(alphas), draw(alphas),
+                      draw(st.sampled_from((1.0, -1.0))))
 
 
 def returns_or_raises_library_error(call, spec):
@@ -70,3 +82,22 @@ def test_mc_product_moment(spec):
     returns_or_raises_library_error(
         lambda s: oracles.mc_product_moment(s, oracles.McConfig(1000, 1)),
         spec)
+
+
+@pytest.mark.parametrize("call", [
+    moments.gap, bounds.check_point, lambda s: verify.evaluate_point(s, 0)],
+    ids=["gap", "check_point", "evaluate_point"])
+@given(large_degenerate_specs())
+def test_large_degenerate_exponents(call, spec):
+    returns_or_raises_library_error(call, spec)
+
+
+@given(st.one_of(specs(), large_degenerate_specs()))
+def test_cli_gap_exit_code(spec):
+    argv = ["gap"] + [f"--{name}={getattr(spec, name)!r}" for name in
+                      ("sigma1", "sigma2", "alpha1", "alpha2", "rho")]
+    with (warnings.catch_warnings(),
+          contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO())):
+        warnings.simplefilter("error")
+        assert cli.main(argv) in {0, 1, 2, 3}

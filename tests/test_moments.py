@@ -222,6 +222,13 @@ class TestOverflow:
         with pytest.raises(DomainError, match="overflows"):
             gap(MomentSpec(1, 1, 200, 200, 1.0))
 
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_degenerate_gamma_ratio(self, rho):
+        # F(.; 1), evaluated before the prefactor, overflows first for
+        # same-sign exponents past ~1025
+        with pytest.raises(DomainError, match="overflows"):
+            gap(MomentSpec(1, 1, 2000.5, 2000.5, rho))
+
 
 class TestCorrelationFactor:
     def test_values_are_the_series(self):

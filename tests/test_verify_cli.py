@@ -1,6 +1,5 @@
 """Tests for the sweep machinery, report serialization, and the CLI."""
 
-import dataclasses
 import json
 import math
 import os
@@ -140,11 +139,10 @@ def _reference_jsonable(value):
 
 
 def _reference_dict(row):
-    spec = row.spec
     raw = {
         "index": row.index,
-        "sigma1": spec.sigma1, "sigma2": spec.sigma2,
-        "alpha1": spec.alpha1, "alpha2": spec.alpha2, "rho": spec.rho,
+        "sigma1": row.sigma1, "sigma2": row.sigma2,
+        "alpha1": row.alpha1, "alpha2": row.alpha2, "rho": row.rho,
         "regime": row.regime, "case_tag": row.case_tag,
         "moment": row.moment, "gap": row.gap,
         "bound_lower": row.bound_lower, "bound_upper": row.bound_upper,
@@ -235,7 +233,7 @@ class TestWarmSweepBytes:
                    for f, row in zip(flags, cold))
         assert any(row.finite_lower and row.bound_upper is not None
                    and "swapped" not in f for f, row in zip(flags, cold))
-        assert any(row.spec.rho == 0.0 and row.regime == "same-sign"
+        assert any(row.rho == 0.0 and row.regime == "same-sign"
                    for row in cold)
         assert any(row.moment == math.inf for row in cold)
         assert any(any(x.startswith("error:ConvergenceError:") for x in f)
@@ -251,8 +249,8 @@ class TestSerialization:
         base = rows[0]
         specials = (math.nan, math.inf, -math.inf, 0.0, -0.0, None)
         for k, value in enumerate(specials):
-            rows.append(dataclasses.replace(
-                base, moment=value, gap=specials[k - 1],
+            rows.append(base._replace(
+                moment=value, gap=specials[k - 1],
                 bound_lower=specials[k - 2], bound_upper=value,
                 slack=specials[k - 3], oracle_quad_value=value,
                 oracle_quad_error=specials[k - 1],
@@ -263,7 +261,7 @@ class TestSerialization:
             got, want = row_to_dict(row), _reference_dict(row)
             assert list(got.items()) == list(want.items())
             assert cli._json_line(got) == _reference_line(row, "json")
-            assert ",".join(row_to_csv_fields(row)) == \
+            assert ",".join(row_to_csv_fields(row, CSV_COLUMNS)) == \
                 _reference_line(row, "csv")
         assert {"nan", "+inf", "-inf"} <= {
             v for row in rows for v in row_to_dict(row).values()
@@ -285,7 +283,7 @@ class TestSerialization:
 
     def test_csv_fields_align_with_header(self):
         row = evaluate_point(MomentSpec(1, 1, -0.5, 2, 0.5), 1)
-        fields = row_to_csv_fields(row)
+        fields = row_to_csv_fields(row, CSV_COLUMNS)
         assert len(fields) == len(CSV_COLUMNS)
 
 
@@ -370,6 +368,18 @@ class TestCliGap:
         record = json.loads(out.splitlines()[-1])
         assert record["flags"][0] == "error:ConvergenceError:patched"
 
+    @pytest.mark.parametrize("rho", ["1", "-1"])
+    def test_degenerate_overflow_exits_two(self, rho, capsys):
+        # the Gamma ratio of F(.; 1) overflows before the prefactor does
+        code, out, err = run_cli(["gap", "--alpha1", "2000.5", "--alpha2",
+                                  "2000.5", f"--rho={rho}"], capsys)
+        assert code == 2
+        record = json.loads(out.splitlines()[-1])
+        assert record["regime"] == "error"
+        assert all(f.startswith("error:DomainError:")
+                   for f in record["flags"])
+        assert "Traceback" not in err
+
     def test_vacuous_flagged(self, capsys):
         code, out, _ = run_cli(["gap", "--alpha1", "-0.5", "--alpha2", "1",
                                 "--rho", "0.5"], capsys)
@@ -419,13 +429,6 @@ class TestCliVerify:
         assert "checked=8100" in out
         assert "violations=0" in out
 
-    def test_every_row_errored_exits_three(self, capsys):
-        code, _, err = run_cli(["verify", "--alpha1", "200", "--alpha2", "200",
-                                "--rho", "0,0.5", "--sigma1", "1",
-                                "--sigma2", "1", "--jobs", "1"], capsys)
-        assert code == 3
-        assert "checked=2 " in err and "errored=2 " in err
-
     def test_partly_errored_exits_zero(self, capsys):
         code, _, err = run_cli(["verify", "--alpha1", "1,200", "--alpha2",
                                 "200", "--rho", "0.5", "--sigma1", "1",
@@ -437,6 +440,24 @@ class TestCliVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--alpha1", "1,zebra"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("arg", ["--rho=0,,0.5", "--rho=0.5,"])
+    def test_empty_token_in_list_exits_two(self, arg):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", arg, "--jobs", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("oracle,samples", [("mc", "999"), ("both", "0")])
+    def test_too_few_mc_samples_exits_two(self, oracle, samples, capsys):
+        code, out, err = run_cli(["verify", "--alpha1", "1", "--alpha2", "1",
+                                  "--rho", "0.5", "--oracle", oracle,
+                                  "--mc-samples", samples, "--jobs", "1"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.splitlines()[-1])["error"] == "DomainError"
+        # without Monte Carlo the sample count is not read
+        SweepConfig(oracle=OracleChoice.QUADRATURE, mc_samples=0)
 
     @pytest.mark.parametrize("arg", ["--rho=", "--alpha1=-3"])
     def test_empty_or_out_of_range_list_exits_two(self, arg, capsys):
@@ -455,6 +476,58 @@ class TestCliVerify:
             cli.main([command, "--alpha1", "1", "--alpha2", "1", "--rho",
                       "0.5", "--tolerance", "1e-9"])
         assert exc.value.code == 2
+
+
+def _series_fail_from(monkeypatch, z_min):
+    """Both series raise ConvergenceError at z >= z_min."""
+    for name in ("hyp2f1", "hyp2f1_minus_one"):
+        summed = getattr(special, name)
+
+        def patched(a, b, c, z, summed=summed):
+            if z >= z_min:
+                raise ConvergenceError(f"patched at z = {z}")
+            return summed(a, b, c, z)
+
+        monkeypatch.setattr(special, name, patched)
+
+
+class TestExitCodes:
+    """`gap`, `curve` and `verify` share one exit rule, `cli._exit_code`."""
+
+    ARGV = {"gap": ["gap", "--rho=0.5"],
+            "curve": ["curve", "--rho-count=3"],
+            "verify": ["verify", "--rho=0,0.5", "--sigma1=1", "--sigma2=1",
+                       "--jobs=1"]}
+
+    def _run(self, command, alpha, capsys):
+        code, _, err = run_cli([*self.ARGV[command], f"--alpha1={alpha}",
+                                f"--alpha2={alpha}"], capsys)
+        return code, err
+
+    @pytest.mark.parametrize("command", ["gap", "curve", "verify"])
+    def test_every_row_domain_error_exits_two(self, command, capsys):
+        code, err = self._run(command, 200, capsys)
+        assert code == 2
+        if command == "verify":
+            assert "checked=2 " in err and "errored=2 " in err
+
+    @pytest.mark.parametrize("command", ["gap", "curve", "verify"])
+    def test_every_row_convergence_error_exits_three(self, command, capsys,
+                                                     monkeypatch):
+        _series_fail_from(monkeypatch, 0.0)
+        assert self._run(command, 1, capsys)[0] == 3
+
+    @pytest.mark.parametrize("command", ["curve", "verify"])
+    def test_some_rows_errored_exits_zero(self, command, capsys,
+                                          monkeypatch):
+        # rho = 0 sums at z = 0; every other correlation fails
+        _series_fail_from(monkeypatch, 0.1)
+        assert self._run(command, 1, capsys)[0] == 0
+
+    @pytest.mark.parametrize("command", ["gap", "curve", "verify"])
+    def test_violation_exits_one(self, command, capsys, monkeypatch):
+        monkeypatch.setattr(moments, "gap", lambda spec: -1.0)
+        assert self._run(command, 1, capsys)[0] == 1
 
 
 class TestCliCurve:
@@ -480,6 +553,23 @@ class TestCliCurve:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         for rho, g, lo, hi in rows[1:]:
             assert float(lo) <= float(g) <= float(hi) + 1e-12
+
+    @pytest.mark.parametrize("alphas", [(2, 2), (-0.5, 3), (-0.9, 0.05),
+                                        (200, 200)])
+    def test_rows_are_verify_columns(self, alphas, capsys):
+        spec_args = [f"--alpha1={alphas[0]}", f"--alpha2={alphas[1]}",
+                     "--sigma1=0.5", "--sigma2=2"]
+        _, curve_out, _ = run_cli(["curve", *spec_args, "--rho-count=5"],
+                                  capsys)
+        rhos = ",".join(repr(0.99 * i / 4) for i in range(5))
+        _, verify_out, _ = run_cli(["verify", *spec_args, f"--rho={rhos}",
+                                    "--jobs=1", "--format=csv"], capsys)
+        # flags, the only column that may hold a comma, is the last one
+        header, *rows = [line.split(",") for line in verify_out.splitlines()]
+        columns = ["rho", "gap", "bound_lower", "bound_upper"]
+        picks = [header.index(col) for col in columns]
+        assert curve_out.splitlines() == [",".join(columns)] + [
+            ",".join(row[i] for i in picks) for row in rows]
 
 
 class TestCliSelftest:
