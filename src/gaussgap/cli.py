@@ -93,25 +93,16 @@ def _spec_from_args(args) -> MomentSpec:
 def cmd_moment(args) -> int:
     spec = _spec_from_args(args)
     if args.method == "series":
-        if spec.degenerate:
-            value = moments.product_moment_rho_one(spec)
-            error = 0.0
-        else:
-            series = moments.correlation_factor(
-                spec.alpha1, spec.alpha2, spec.rho * spec.rho, False)
-            prefactor = moments.product_of_marginals(spec)
-            value = prefactor * series.value
-            error = prefactor * series.truncation_error_estimate
+        est = moments.product_moment(spec)
     elif args.method == "quadrature":
         est = oracles.quad_product_moment(spec)
-        value, error = est.value, est.error_estimate
     else:  # mc
         cfg = oracles.McConfig(args.mc_samples, args.seed)
         est = oracles.mc_product_moment(spec, cfg)
-        value, error = est.value, est.error_estimate
-    print(f"{value:.10g}")
-    print(_json_line({"value": verify._jsonable(value), "method": args.method,
-                      "error_estimate": verify._jsonable(error)}))
+    print(f"{est.value:.10g}")
+    print(_json_line({"value": verify._jsonable(est.value),
+                      "method": args.method,
+                      "error_estimate": verify._jsonable(est.error_estimate)}))
     return EXIT_OK
 
 

@@ -8,15 +8,15 @@ hypergeometric closed form
     P = 2^((a1+a2)/2) sigma1^a1 sigma2^a2
         Gamma((a1+1)/2) Gamma((a2+1)/2) / pi,
 
-valid for |rho| < 1 and a1, a2 > -1; at |rho| = 1 the coordinates
-coincide up to sign and the moment is one one-dimensional moment.  The
+valid for a1, a2 > -1 and |rho| <= 1.  At |rho| = 1, X2 = +-(sigma2/sigma1) X1
+for any scales, and F(1) is Gauss's Gamma ratio (the Chu-Vandermonde
+product for an even-integer exponent), or +inf when a1 + a2 <= -1.  The
 "gap" is the excess of that product moment over the product of the
-marginal moments; it is computed as P * (F - 1) with the F - 1 series
-summed directly from its first term, never as a difference of two large
-moments.
+marginal moments, P * (F - 1), with F - 1 summed directly from its first
+term, never as a difference of two large moments.
 
 Sigma enters only through the prefactor P and rho only through rho^2, so
-the series factor is summed once per (alpha1, alpha2, rho^2) per process
+F is computed once per (alpha1, alpha2, rho^2) per process
 (``correlation_factor``) and reused across scales and correlation signs,
 and P is computed once per (sigma1, sigma2, alpha1, alpha2)
 (``prefactor``) and reused across correlations.
@@ -31,8 +31,8 @@ import functools
 import math
 
 from . import special
-from .errors import DomainError
-from .types import MomentSpec
+from .errors import DomainError, SeriesDivergenceError
+from .types import Estimate, MomentSpec
 
 _LOG_PI = math.log(math.pi)
 
@@ -44,13 +44,23 @@ def correlation_factor(alpha1: float, alpha2: float, z: float,
                        minus_one: bool) -> special.SeriesResult:
     """F(-alpha1/2, -alpha2/2; 1/2; z), or F - 1 when ``minus_one``.
 
-    This is the whole rho dependence of the moment, with z = rho^2 < 1.
-    Results are memoized per argument tuple (pass all four positionally,
-    so equal keys hash alike); a miss sums through the ``special`` module
-    attribute, and exceptions are not cached.
+    This is the whole rho dependence of the moment, with z = rho^2 in
+    [0, 1]; at z = 1 it is the exact ``special.hyp2f1_at_one``, or +inf
+    where that diverges (alpha1 + alpha2 <= -1).  Results are memoized
+    per argument tuple (pass all four positionally, so equal keys hash
+    alike); a miss goes through the ``special`` module attribute, and
+    exceptions are not cached.
     """
+    a, b = -0.5 * alpha1, -0.5 * alpha2
+    if z == 1.0:
+        try:
+            value = special.hyp2f1_at_one(a, b, 0.5)
+        except SeriesDivergenceError:
+            value = math.inf
+        return special.SeriesResult(value - 1.0 if minus_one else value,
+                                    0, 0.0, True)
     summed = special.hyp2f1_minus_one if minus_one else special.hyp2f1
-    return summed(-0.5 * alpha1, -0.5 * alpha2, 0.5, z)
+    return summed(a, b, 0.5, z)
 
 
 def abs_moment_1d(sigma: float, alpha: float) -> float:
@@ -86,71 +96,47 @@ def product_of_marginals(spec: MomentSpec) -> float:
     return prefactor(spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2)
 
 
-def product_moment(spec: MomentSpec) -> float:
-    """E[|X1|^alpha1 |X2|^alpha2] for |rho| <= 1.
+def _times(p: float, factor: float) -> float:
+    """p * factor, raising ``DomainError`` where a finite factor overflows."""
+    value = p * factor
+    if math.isinf(value) and math.isfinite(factor):
+        raise DomainError(f"P * {factor:.6g} overflows float64")
+    return value
 
-    |rho| = 1 goes to ``product_moment_rho_one``.
+
+def product_moment(spec: MomentSpec) -> Estimate:
+    """E[|X1|^alpha1 |X2|^alpha2] = P * F for |rho| <= 1.
+
+    The error estimate is P times the truncation bound of F.  At
+    |rho| = 1 the value is +inf when alpha1 + alpha2 <= -1.
     """
-    if spec.degenerate:
-        return product_moment_rho_one(spec)
     series = correlation_factor(spec.alpha1, spec.alpha2, spec.rho * spec.rho,
                                 False)
-    return product_of_marginals(spec) * series.value
-
-
-def _require_equal_scales(spec: MomentSpec) -> None:
-    """|rho| = 1 makes X2 = +-X1, so both must have the same scale."""
-    if spec.sigma1 != spec.sigma2:
-        raise DomainError("|rho| = 1 forces equal scales; got "
-                          f"sigma1 = {spec.sigma1}, sigma2 = {spec.sigma2}")
-
-
-def product_moment_rho_one(spec: MomentSpec) -> float:
-    """E[|X1|^alpha1 |X2|^alpha2] in the degenerate case |rho| = 1.
-
-    With |rho| = 1 the coordinates coincide up to sign, which forces
-    sigma1 = sigma2 and reduces the product moment to
-    E[|X1|^(alpha1+alpha2)].  When alpha1 + alpha2 <= -1 that moment is
-    infinite and +inf is returned.
-    """
-    if not spec.degenerate:
-        raise DomainError(f"product_moment_rho_one requires |rho| = 1, "
-                          f"got rho = {spec.rho}")
-    _require_equal_scales(spec)
-    total = spec.alpha1 + spec.alpha2
-    if total <= -1.0:
-        return math.inf
-    return abs_moment_1d(spec.sigma1, total)
+    p = product_of_marginals(spec)
+    return Estimate(_times(p, series.value),
+                    _times(p, series.truncation_error_estimate))
 
 
 def gap(spec: MomentSpec) -> float:
-    """E[|X1|^a1 |X2|^a2] - E[|X1|^a1] E[|X2|^a2].
+    """E[|X1|^a1 |X2|^a2] - E[|X1|^a1] E[|X2|^a2] = P * (F - 1).
 
-    Exactly 0 at rho = 0.  At |rho| = 1 the degenerate route applies and
-    the result is +inf when alpha1 + alpha2 <= -1.
+    Exactly 0 at rho = 0.  At |rho| = 1 the result is +inf when
+    alpha1 + alpha2 <= -1.
     """
     if spec.rho == 0.0:
         return 0.0
-    if spec.degenerate:
-        _require_equal_scales(spec)
-        if spec.alpha1 + spec.alpha2 <= -1.0:
-            return math.inf
-        f_at_one = special.hyp2f1_at_one(-0.5 * spec.alpha1,
-                                         -0.5 * spec.alpha2, 0.5)
-        return product_of_marginals(spec) * (f_at_one - 1.0)
     tail = correlation_factor(spec.alpha1, spec.alpha2, spec.rho * spec.rho,
                               True)
-    return product_of_marginals(spec) * tail.value
+    return _times(product_of_marginals(spec), tail.value)
 
 
 def gap_via_3f2(spec: MomentSpec) -> float:
-    """The gap through the equivalent 3F2 form, an independent code path.
+    """The gap for |rho| < 1 through the equivalent 3F2 form, an
+    independent code path.
 
     Uses F(-a1/2, -a2/2; 1/2; rho^2) - 1 =
     (rho^2 a1 a2 / 2) * 3F2(1 - a1/2, 1 - a2/2, 1; 3/2, 2; rho^2).
     """
-    if spec.degenerate:
-        raise DomainError("gap_via_3f2 requires |rho| < 1")
     if spec.rho == 0.0:
         return 0.0
     z = spec.rho * spec.rho

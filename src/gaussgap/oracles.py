@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import AccuracyError, DomainError, InfiniteVarianceError
-from .types import MomentSpec
+from .types import Estimate, MomentSpec
 
 _MASK64 = (1 << 64) - 1
 _BREAK_SIGMAS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -54,14 +54,6 @@ class McConfig:
                 or not isinstance(self.seed, numbers.Integral)
                 or not 0 <= self.seed <= _MASK64):
             raise DomainError("seed must be a 64-bit unsigned integer")
-
-
-@dataclass(frozen=True)
-class OracleEstimate:
-    """An oracle value plus a one-sided error bound or standard error."""
-
-    value: float
-    error_estimate: float
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -152,7 +144,7 @@ def _overflow_is_domain_error(fn):
 
 @_overflow_is_domain_error
 def quad_abs_moment_1d(sigma: float, alpha: float, *,
-                       substitute: bool = True) -> OracleEstimate:
+                       substitute: bool = True) -> Estimate:
     """Quadrature estimate of E[|X|^alpha] for X ~ N(0, sigma^2).
 
     ``substitute=False`` integrates in the original variable and is only
@@ -193,11 +185,11 @@ def quad_abs_moment_1d(sigma: float, alpha: float, *,
         raise AccuracyError(
             f"1-D moment quadrature missed its target: {message or 'error bound too large'}",
             estimate=value, achieved_error=err)
-    return OracleEstimate(value, err)
+    return Estimate(value, err)
 
 
 @_overflow_is_domain_error
-def quad_product_moment(spec: MomentSpec) -> OracleEstimate:
+def quad_product_moment(spec: MomentSpec) -> Estimate:
     """Quadrature estimate of E[|X1|^alpha1 |X2|^alpha2] for |rho| < 1.
 
     Folds the plane into the first quadrant, substitutes per axis, and
@@ -206,7 +198,7 @@ def quad_product_moment(spec: MomentSpec) -> OracleEstimate:
     worst observed relative error of inner integrals, and the analytic
     truncation-tail bound.
     """
-    if spec.degenerate:
+    if abs(spec.rho) == 1.0:
         raise DomainError("quad_product_moment requires |rho| < 1")
     radius = TAIL_RADIUS_SIGMAS
     s1, s2, a1, a2, rho = (spec.sigma1, spec.sigma2, spec.alpha1,
@@ -267,7 +259,7 @@ def quad_product_moment(spec: MomentSpec) -> OracleEstimate:
         raise AccuracyError(
             f"product-moment quadrature missed its target: {message or 'error bound too large'}",
             estimate=value, achieved_error=err)
-    return OracleEstimate(value, err)
+    return Estimate(value, err)
 
 
 def sample_bivariate(spec: MomentSpec, n: int, seed: int) -> np.ndarray:
@@ -287,7 +279,7 @@ def sample_bivariate(spec: MomentSpec, n: int, seed: int) -> np.ndarray:
     return np.column_stack((x1, x2))
 
 
-def mc_product_moment(spec: MomentSpec, cfg: McConfig) -> OracleEstimate:
+def mc_product_moment(spec: MomentSpec, cfg: McConfig) -> Estimate:
     """Monte Carlo estimate of E[|X1|^alpha1 |X2|^alpha2].
 
     Requires min(alpha1, alpha2) > -1/2: below that the estimator has
@@ -309,4 +301,4 @@ def mc_product_moment(spec: MomentSpec, cfg: McConfig) -> OracleEstimate:
     except FloatingPointError:
         raise DomainError("Monte Carlo estimate overflows float64; "
                           "exponents are too large") from None
-    return OracleEstimate(mean, stderr)
+    return Estimate(mean, stderr)

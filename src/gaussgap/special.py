@@ -35,8 +35,8 @@ _BLOCK_MAX = 65536
 class SeriesResult:
     """Outcome of one truncated series summation.
 
-    ``terminated`` is True when a numerator Pochhammer factor hit zero,
-    in which case the partial sum is exact and
+    ``terminated`` is True when a numerator Pochhammer factor hit zero or
+    a closed form gave the value; then nothing is truncated and
     ``truncation_error_estimate`` is 0.  Otherwise the estimate is the
     geometric tail bound |t_next| / (1 - r) built from the first omitted
     term and the last observed term ratio r.
@@ -198,17 +198,26 @@ def hyp2f1_minus_one(a: float, b: float, c: float, z: float) -> SeriesResult:
 
 
 def hyp2f1_at_one(a: float, b: float, c: float) -> float:
-    """F(a, b; c; 1) by finite sum (terminating) or the Gamma ratio form.
+    """F(a, b; c; 1) in closed form.
 
-    For non-terminating parameters the value exists only when
-    c - a - b > 0; otherwise ``SeriesDivergenceError`` is raised and
-    callers map it to an infinite-bound sentinel.  A value past the
-    float64 range raises ``DomainError``.
+    Terminating parameters, a = -m for an integer m >= 0 (or b, with the
+    smaller m), take the Chu-Vandermonde product (c - b)_m / (c)_m
+    (DLMF 15.4.24): exactly 1.0 at m = 0, and free of the cancellation of
+    the alternating finite sum.
+    Otherwise Gauss's Gamma ratio (DLMF 15.4.20) applies where
+    c - a - b > 0; elsewhere ``SeriesDivergenceError`` is raised and
+    callers map it to an infinite sentinel.  A value past the float64
+    range raises ``DomainError``.
     """
     _check_lower((c,), "hyp2f1 lower")
     stop_points = [int(-p) for p in (a, b) if _is_nonpos_int(p)]
     if stop_points:
-        return _terminating_sum((a, b), (c,), 1.0, min(stop_points)).value
+        m = min(stop_points)
+        other = b if a == -m else a
+        value = math.prod((c - other + k) / (c + k) for k in range(m))
+        if not math.isfinite(value):
+            raise DomainError(f"F({a}, {b}; {c}; 1) overflows float64")
+        return value
     s = c - a - b
     if s <= 0:
         raise SeriesDivergenceError(

@@ -16,8 +16,7 @@ class MomentSpec:
     alpha1, alpha2 the exponents applied to their absolute values, and rho
     the correlation coefficient.  Scales and exponents must be finite, and
     exponents must exceed -1 for the moments to be finite.  |rho| = 1 is
-    admitted at construction time; operations that require non-degeneracy
-    enforce |rho| < 1 themselves.
+    admitted; operations that need |rho| < 1 enforce it themselves.
     """
 
     sigma1: float
@@ -36,7 +35,10 @@ class MomentSpec:
         if not abs(self.rho) <= 1:
             raise DomainError(f"correlation must lie in [-1, 1], got {self.rho}")
 
-    @property
-    def degenerate(self) -> bool:
-        """True when |rho| = 1 (the two coordinates coincide up to sign)."""
-        return abs(self.rho) == 1.0
+
+@dataclass(frozen=True)
+class Estimate:
+    """A moment value plus a one-sided error bound or standard error."""
+
+    value: float
+    error_estimate: float

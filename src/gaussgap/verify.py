@@ -161,7 +161,7 @@ def evaluate_point(spec: MomentSpec, index: int,
 
     moment = None
     try:
-        moment = moments_mod.product_moment(spec)
+        moment = moments_mod.product_moment(spec).value
     except GaussGapError as exc:
         flags.append(f"error:{type(exc).__name__}:{exc}")
 

@@ -255,8 +255,8 @@ class TestCheckPoint:
         assert rep.satisfied and rep.gap == 0.0
 
     def test_error_becomes_report(self):
-        # degenerate rho with mismatched scales cannot be computed
-        rep = check_point(MomentSpec(1, 2, 1, 1, 1.0))
+        # the prefactor overflows float64 at exponents (200, 200)
+        rep = check_point(MomentSpec(1, 1, 200, 200, 0.5))
         assert rep.regime == "error"
         assert not rep.satisfied
         assert any(f.startswith("error:") for f in rep.flags)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussgap import special
+from gaussgap import oracles, special
 from gaussgap.errors import ConvergenceError, DomainError
 from gaussgap.moments import (abs_moment_1d, correlation_factor, gap,
                               gap_via_3f2, prefactor, product_moment,
-                              product_moment_rho_one, product_of_marginals)
-from gaussgap.types import MomentSpec
+                              product_of_marginals)
+from gaussgap.types import Estimate, MomentSpec
 
 # E[|X1| |X2|] for unit variances via the classical arcsine closed form,
 # an oracle independent of the hypergeometric machinery.
@@ -86,64 +86,85 @@ class TestProductOfMarginals:
 class TestProductMoment:
     def test_independent_case_factorizes(self):
         spec = MomentSpec(1, 1, 1, 1, 0.0)
-        assert product_moment(spec) == pytest.approx(2.0 / math.pi, rel=1e-14)
+        assert product_moment(spec) == Estimate(
+            pytest.approx(2.0 / math.pi, rel=1e-14), 0.0)
 
     def test_arcsine_closed_form(self):
-        got = product_moment(MomentSpec(1, 1, 1, 1, 0.5))
+        got = product_moment(MomentSpec(1, 1, 1, 1, 0.5)).value
         assert rel_err(got, arcsine_product_moment(0.5)) < 1e-13
         assert rel_err(got, 0.7179955620884587) < 1e-13
 
     def test_fourth_moment_identity(self):
         # E[X1^2 X2^2] = 1 + 2 rho^2 for unit variances
-        got = product_moment(MomentSpec(1, 1, 2, 2, 0.6))
+        got = product_moment(MomentSpec(1, 1, 2, 2, 0.6)).value
         assert got == pytest.approx(1.72, rel=1e-14)
 
-    def test_degenerate_rho_refused(self):
-        # |rho| = 1 admits only equal scales, checked as in gap
-        with pytest.raises(DomainError, match="forces equal scales"):
-            product_moment(MomentSpec(1, 2, 1, 1, 1.0))
-        with pytest.raises(DomainError, match="forces equal scales"):
-            gap(MomentSpec(1, 2, 1, 1, -1.0))
+    def test_error_estimate_is_p_times_truncation_bound(self):
+        spec = MomentSpec(0.5, 2.0, 1.5, -0.5, 0.75)
+        series = correlation_factor(1.5, -0.5, 0.5625, False)
+        p = product_of_marginals(spec)
+        assert series.truncation_error_estimate > 0.0
+        assert product_moment(spec) == Estimate(
+            p * series.value, p * series.truncation_error_estimate)
+
+    def test_degenerate_unequal_scales(self):
+        # X2 = +-2 X1, so E[|X1| |X2|] = 2 E[X1^2] = 2 for any sign
+        assert product_moment(MomentSpec(1, 2, 1, 1, 1.0)).value == \
+            pytest.approx(2.0, rel=1e-14)
+        assert gap(MomentSpec(1, 2, 1, 1, -1.0)) == \
+            pytest.approx(2.0 - 4.0 / math.pi, rel=1e-14)
 
     @pytest.mark.parametrize("spec", [
         MomentSpec(1, 1, 1, 1, 1.0), MomentSpec(2, 2, 1.5, -0.5, -1.0),
         MomentSpec(0.5, 0.5, -0.6, -0.5, 1.0)])
     def test_degenerate_rho_is_the_rho_one_moment(self, spec):
-        assert product_moment(spec) == product_moment_rho_one(spec)
+        # sigma1^a1 sigma2^a2 E[|Z|^(a1 + a2)], +inf where not integrable
+        a1, a2 = spec.alpha1, spec.alpha2
+        want = (spec.sigma1 ** a1 * spec.sigma2 ** a2
+                * abs_moment_1d(1.0, a1 + a2) if a1 + a2 > -1 else math.inf)
+        assert product_moment(spec) == Estimate(
+            pytest.approx(want, rel=1e-14), 0.0)
 
     @given(st.floats(-0.95, 0.95))
     @settings(max_examples=30)
     def test_arcsine_sweep(self, rho):
-        got = product_moment(MomentSpec(1, 1, 1, 1, rho))
+        got = product_moment(MomentSpec(1, 1, 1, 1, rho)).value
         assert rel_err(got, arcsine_product_moment(rho)) < 1e-12
 
 
 class TestProductMomentRhoOne:
+    """``product_moment`` at |rho| = 1, where it is P * F(1)."""
+
     def test_unit_pair(self):
         # equals E[X1^2] = 1
-        assert abs(product_moment_rho_one(MomentSpec(1, 1, 1, 1, 1.0)) - 1.0) \
+        assert abs(product_moment(MomentSpec(1, 1, 1, 1, 1.0)).value - 1.0) \
             < 1e-13
 
     def test_negative_exponents_integrable(self):
-        got = product_moment_rho_one(MomentSpec(1, 1, -0.5, -0.4, 1.0))
-        assert rel_err(got, abs_moment_1d(1.0, -0.9)) < 1e-15
+        got = product_moment(MomentSpec(1, 1, -0.5, -0.4, 1.0)).value
+        assert rel_err(got, abs_moment_1d(1.0, -0.9)) < 1e-14
         assert rel_err(got, 8.0413584219659848) < 1e-13
 
     def test_non_integrable_sentinel(self):
-        assert product_moment_rho_one(MomentSpec(1, 1, -0.6, -0.5, 1.0)) \
+        assert product_moment(MomentSpec(1, 1, -0.6, -0.5, 1.0)).value \
             == math.inf
 
-    def test_scale_mismatch_refused(self):
-        with pytest.raises(DomainError):
-            product_moment_rho_one(MomentSpec(1, 2, 1, 1, 1.0))
-
-    def test_nondegenerate_refused(self):
-        with pytest.raises(DomainError):
-            product_moment_rho_one(MomentSpec(1, 1, 1, 1, 0.5))
+    def test_unequal_scales(self):
+        # X2 = (sigma2 / sigma1) X1: sigma2^a2 E[|X1|^(a1 + a2)]
+        got = product_moment(MomentSpec(1, 2, 1, 3, 1.0)).value
+        assert rel_err(got, 8.0 * abs_moment_1d(1.0, 4.0)) < 1e-14
+        assert rel_err(got, 24.0) < 1e-14
 
     def test_negative_rho_allowed(self):
-        assert abs(product_moment_rho_one(MomentSpec(1, 1, 1, 1, -1.0)) - 1.0) \
+        assert abs(product_moment(MomentSpec(1, 1, 1, 1, -1.0)).value - 1.0) \
             < 1e-13
+
+    def test_monte_carlo_agrees_with_unequal_scales(self):
+        spec = MomentSpec(1, 2, 1, 1, 1.0)
+        est = oracles.mc_product_moment(spec, oracles.McConfig(200_000, 7))
+        want = product_moment(spec).value
+        assert want == pytest.approx(2.0, rel=1e-14)
+        assert abs(est.value - want) < 4 * est.error_estimate
 
 
 class TestGap:
@@ -286,17 +307,95 @@ class TestCorrelationFactor:
     def test_bounded(self):
         assert correlation_factor.cache_info().maxsize is not None
 
+    def test_z_one_is_the_closed_form(self, monkeypatch):
+        def no_series(*args):
+            raise AssertionError(f"series called at {args}")
+
+        monkeypatch.setattr(special, "hyp2f1", no_series)
+        monkeypatch.setattr(special, "hyp2f1_minus_one", no_series)
+        f_at_one = special.hyp2f1_at_one(-0.75, 0.25, 0.5)
+        assert correlation_factor(1.5, -0.5, 1.0, False) == \
+            special.SeriesResult(f_at_one, 0, 0.0, True)
+        assert correlation_factor(1.5, -0.5, 1.0, True) == \
+            special.SeriesResult(f_at_one - 1.0, 0, 0.0, True)
+        product_moment(MomentSpec(0.5, 2.0, 1.5, -0.5, -1.0))
+        gap(MomentSpec(2.0, 1.0, 1.5, -0.5, 1.0))
+        info = correlation_factor.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+
+    @pytest.mark.parametrize("minus_one", [False, True])
+    def test_z_one_diverges_to_inf(self, minus_one):
+        assert correlation_factor(-0.6, -0.5, 1.0, minus_one) == \
+            special.SeriesResult(math.inf, 0, 0.0, True)
+
+
+class TestRhoOneAgainstMpmath:
+    """At |rho| = 1, F(1), F(1) - 1, the moment and the gap against mpmath
+    at 50 digits, for even a1 (the Chu-Vandermonde product) up to 200.
+
+    F(1) and F(1) - 1 must agree to 1e-13.  The moment and the gap carry
+    in addition the rounding of P = exp(log P), whose log-space sum is
+    exact to a few ulps of log P: their bound is 1e-13, or 2 eps |log P|
+    where that is larger (2.4e-13 at log P = 550, a1 = 194)."""
+
+    A1 = range(2, 202, 2)
+
+    @staticmethod
+    def _reference(spec, mpmath):
+        a1, a2 = mpmath.mpf(spec.alpha1), mpmath.mpf(spec.alpha2)
+        p = (mpmath.mpf(2) ** ((a1 + a2) / 2) * mpmath.mpf(spec.sigma1) ** a1
+             * mpmath.mpf(spec.sigma2) ** a2 * mpmath.gamma((a1 + 1) / 2)
+             * mpmath.gamma((a2 + 1) / 2) / mpmath.pi)
+        f = mpmath.hyp2f1(-a1 / 2, -a2 / 2, mpmath.mpf(1) / 2, 1)
+        return p, f
+
+    @pytest.mark.parametrize("sigmas", [(1.0, 1.0), (0.5, 2.0)])
+    @pytest.mark.parametrize("a2", [-0.9, -0.5, 0.5, 3.0, 50.0])
+    def test_moment_and_gap(self, a2, sigmas):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for a1 in self.A1:
+                rho = -1.0 if a1 % 4 else 1.0
+                spec = MomentSpec(*sigmas, a1, a2, rho)
+                p, f = self._reference(spec, mpmath)
+                tol = max(1e-13, 2 * 2.0 ** -52 * abs(float(mpmath.log(p))))
+                for got, want, bound in [
+                        (correlation_factor(a1, a2, 1.0, False).value, f,
+                         1e-13),
+                        (correlation_factor(a1, a2, 1.0, True).value, f - 1,
+                         1e-13),
+                        (product_moment(spec).value, p * f, tol),
+                        (gap(spec), p * (f - 1), tol)]:
+                    assert float(abs((got - want) / want)) < bound, (a1, got)
+
+
+class TestTerminatingSeriesNearOne:
+    @pytest.mark.xfail(strict=True, reason=(
+        "the terminating series of F(-100, 0.45; 1/2; z) alternates and is "
+        "summed term by term: at z = 0.9025 it cancels to a gap of the "
+        "wrong sign, reported as exact"))
+    def test_large_even_exponent_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        spec = MomentSpec(1, 1, 200, -0.9, 0.95)
+        with mpmath.workdps(60):
+            a1, a2 = mpmath.mpf(200), mpmath.mpf(-0.9)
+            f = mpmath.hyp2f1(-a1 / 2, -a2 / 2, mpmath.mpf(1) / 2,
+                              mpmath.mpf(0.95) ** 2)
+            p = (mpmath.mpf(2) ** ((a1 + a2) / 2) * mpmath.gamma((a1 + 1) / 2)
+                 * mpmath.gamma((a2 + 1) / 2) / mpmath.pi)
+            want = p * (f - 1)
+            assert float(abs((gap(spec) - want) / want)) < 1e-10
+
 
 class TestPrefactor:
     def test_shared_across_rho_and_functions(self):
         for rho in (0.0, 0.25, -0.25, 0.95, 1.0):
             spec = MomentSpec(0.5, 0.5, 1.5, -0.5, rho)
             gap(spec)
-            if rho != 1.0:
-                product_moment(spec)
+            product_moment(spec)
         info = prefactor.cache_info()
         # gap returns 0 at rho = 0 without P; every other call hits
-        assert (info.hits, info.misses) == (7, 1)
+        assert (info.hits, info.misses) == (8, 1)
         assert product_of_marginals(MomentSpec(0.5, 0.5, 1.5, -0.5, 0.3)) == \
             prefactor(0.5, 0.5, 1.5, -0.5)
 

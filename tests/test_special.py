@@ -121,6 +121,27 @@ class TestHyp2f1AtOne:
         want = 1 - 2 * b / c + (b * (b + 1)) / (c * (c + 1))
         assert rel_err(hyp2f1_at_one(-2.0, b, c), want) < 1e-14
 
+    def test_terminating_is_chu_vandermonde(self):
+        # F(-m, b; c; 1) = (c - b)_m / (c)_m, also when b leads
+        assert hyp2f1_at_one(0.7, -3.0, 1.9) == \
+            pytest.approx(1.2 * 2.2 * 3.2 / (1.9 * 2.9 * 3.9), rel=1e-15)
+        assert hyp2f1_at_one(-1.0, -3.0, 0.5) == pytest.approx(7.0, rel=1e-15)
+
+    @pytest.mark.parametrize("b", [0.45, 0.25, -0.25])
+    def test_terminating_against_mpmath(self, b):
+        # the alternating finite sum cancels here as m grows
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for m in range(101):
+                want = mpmath.hyp2f1(-m, b, 0.5, 1)
+                got = hyp2f1_at_one(-float(m), b, 0.5)
+                assert float(abs((got - want) / want)) < 1e-13, m
+
+    def test_terminating_overflow_is_domain_error(self):
+        # m = 500: (1000.5)_500 / (0.5)_500 is about 3e414
+        with pytest.raises(DomainError, match="overflows"):
+            hyp2f1_at_one(-1000.0, -500.0, 0.5)
+
     def test_divergence_error(self):
         with pytest.raises(SeriesDivergenceError):
             hyp2f1_at_one(1.25, 0.75, 1.5)  # balance = -0.5

@@ -1,5 +1,6 @@
 """Tests for the sweep machinery, report serialization, and the CLI."""
 
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,8 @@ from gaussgap.types import MomentSpec
 from gaussgap.verify import (CSV_COLUMNS, OracleChoice, SweepConfig,
                              evaluate_point, row_to_csv_fields, row_to_dict,
                              run_sweep)
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run_cli(argv, capsys):
@@ -181,12 +184,13 @@ class TestWarmSweepBytes:
     # magnitude (3, 0.5); envelopes with a finite lower end (-0.9, 2) and
     # a vacuous one (-0.9, 0.5), each also swapped ((3, -0.5), (1.5,
     # -0.5)); rho = 0; |rho| = 1 with a +inf moment (-0.9, -0.5) and with
-    # mismatched scales; and rows whose series raise ConvergenceError.
-    ARGS = ["--alpha1=-0.9,1.5,3", "--alpha2=-0.5,0.5,2",
+    # mismatched scales; rows whose prefactor overflows (exponent 400); and
+    # rows whose series raise ConvergenceError.
+    ARGS = ["--alpha1=-0.9,1.5,3,400", "--alpha2=-0.5,0.5,2,400",
             "--rho", "0,0.5,-0.5,0.95,1", "--sigma1", "0.5,2",
             "--sigma2", "2"]
-    CONFIG = SweepConfig(alpha1_values=(-0.9, 1.5, 3.0),
-                         alpha2_values=(-0.5, 0.5, 2.0),
+    CONFIG = SweepConfig(alpha1_values=(-0.9, 1.5, 3.0, 400.0),
+                         alpha2_values=(-0.5, 0.5, 2.0, 400.0),
                          rho_values=(0.0, 0.5, -0.5, 0.95, 1.0),
                          sigma1_values=(0.5, 2.0), sigma2_values=(2.0,))
 
@@ -312,12 +316,15 @@ class TestCliMoment:
         record = json.loads(out.splitlines()[1])
         assert abs(record["value"] - 1.72) < 6 * record["error_estimate"]
 
-    def test_invalid_degenerate_scales(self, capsys):
-        code, _, err = run_cli(["moment", "--alpha1", "1", "--alpha2", "1",
+    def test_degenerate_unequal_scales(self, capsys):
+        # X2 = 2 X1, so E[|X1| |X2|] = 2 E[X1^2] = 2
+        code, out, _ = run_cli(["moment", "--alpha1", "1", "--alpha2", "1",
                                 "--rho", "1", "--sigma1", "1", "--sigma2", "2"],
                                capsys)
-        assert code == 2
-        assert json.loads(err.splitlines()[-1])["error"] == "DomainError"
+        assert code == 0
+        assert out.splitlines()[0] == "2"
+        assert json.loads(out.splitlines()[1]) == {
+            "value": 2.0, "method": "series", "error_estimate": 0.0}
 
     def test_invalid_alpha(self, capsys):
         code, _, err = run_cli(["moment", "--alpha1", "-1.5", "--alpha2", "1",
@@ -428,6 +435,20 @@ class TestCliVerify:
         assert code == 0
         assert "checked=8100" in out
         assert "violations=0" in out
+
+    def test_default_grid_matches_committed_reference(self, tmp_path, capsys):
+        # the benchmark's default-grid reference: sha256 and summary counts
+        expected = json.loads(
+            (REPO / "benchmarks" / "reference" / "expected.json").read_text()
+        )["default-grid"]
+        out_file = tmp_path / "rows.jsonl"
+        code, out, _ = run_cli(["verify", "--jobs", "1",
+                                "--output", str(out_file)], capsys)
+        assert code == 0
+        digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+        assert digest == expected["sha256"]
+        counts = dict(field.split("=") for field in out.split())
+        assert {k: int(v) for k, v in counts.items()} == expected["summary"]
 
     def test_partly_errored_exits_zero(self, capsys):
         code, _, err = run_cli(["verify", "--alpha1", "1,200", "--alpha2",
