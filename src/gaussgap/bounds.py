@@ -1,19 +1,20 @@
 """Explicit bounds on the Gaussian product-moment gap.
 
-Two regimes, split by the signs of the exponents:
+Both results say the gap lies in an explicit interval, a ``GapBound``
+from ``gap_bound``; the signs of the exponents pick its shape:
 
-* same sign (both in (-1, 0) or both positive): the gap is bounded below
-  by an explicit nonnegative Gamma closed form, ``gap_lower_bound``.  The
-  closed form has two branches; the second applies when exactly one
-  exponent exceeds 2 while the other sits strictly inside (0, 2).
-* opposite signs: the gap is negative and sandwiched by ``gap_envelope``,
-  whose endpoints share a common negative coefficient, one side scaled by
-  a hypergeometric value at z = 1.  When that value diverges
-  (alpha1 + alpha2 <= 1) the lower endpoint is a vacuous -inf sentinel.
+* same sign (both in (-1, 0) or both positive): ``[f, +inf)`` with ``f``
+  a nonnegative Gamma closed form.  The closed form has two branches;
+  the second applies when exactly one exponent exceeds 2 while the other
+  sits strictly inside (0, 2).
+* opposite signs: the gap is negative and sandwiched by a two-sided
+  envelope whose ends share a common negative coefficient, one end
+  scaled by a hypergeometric value G(1) at z = 1.  When G(1) diverges
+  (alpha1 + alpha2 <= 1) the lower end is a vacuous -inf.
 
-``check_point`` applies whichever regime matches and reports the outcome
-with the fixed absolute-plus-relative tolerance ``TOLERANCE * max(1, |gap|)``,
-so checks behave sensibly across many orders of magnitude.
+``check_point`` tests the gap against that interval with the fixed
+absolute-plus-relative tolerance ``TOLERANCE * max(1, |gap|)``, so checks
+behave sensibly across many orders of magnitude.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import moments, special
 from .errors import DomainError, GaussGapError, SeriesDivergenceError
@@ -41,26 +43,24 @@ class BoundCase(enum.Enum):
     MIXED_MAGNITUDE = "MixedMagnitude"
 
 
-@dataclass(frozen=True)
-class GapLowerBound:
-    """Nonnegative lower bound on the gap for same-sign exponents."""
+class GapBound(NamedTuple):
+    """The interval ``[lower, upper]`` that holds the gap at one point.
 
-    value: float
-    case_tag: BoundCase
-
-
-@dataclass(frozen=True)
-class GapEnvelope:
-    """Two-sided bound on the (negative) gap for opposite-sign exponents.
-
-    ``swapped`` records that the inputs arrived as (positive, negative)
-    and were normalized to the canonical (negative, positive) orientation.
+    ``upper`` is +inf for same-sign exponents and ``lower`` is -inf only
+    where G(1) diverges.  ``case_tag`` names the branch of the same-sign
+    closed form and is None for opposite signs.  ``swapped`` records that
+    opposite-sign inputs arrived as (positive, negative) and were
+    normalized to the canonical (negative, positive) orientation.
     """
 
     lower: float
     upper: float
-    finite_lower: bool
+    case_tag: BoundCase | None = None
     swapped: bool = False
+
+    @property
+    def finite_lower(self) -> bool:
+        return self.lower > -math.inf
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,10 @@ class BoundReport:
 
     gap: float
     regime: str  # "same-sign" | "opposite-sign" | "trivial" | "error"
-    bound: GapLowerBound | GapEnvelope | None
+    bound: GapBound | None
     satisfied: bool
     slack: float
     flags: tuple[str, ...] = ()
-
-
-def _same_sign(a1: float, a2: float) -> bool:
-    return (-1 < a1 < 0 and -1 < a2 < 0) or (a1 > 0 and a2 > 0)
 
 
 def _mixed_magnitude(a1: float, a2: float) -> bool:
@@ -84,87 +80,74 @@ def _mixed_magnitude(a1: float, a2: float) -> bool:
 
 
 @functools.lru_cache(maxsize=4096)
-def _lower_bound_scale(sigma1: float, sigma2: float, a1: float,
-                       a2: float) -> tuple[float, BoundCase]:
-    """The rho-free factor of ``gap_lower_bound`` and its branch."""
+def _rho_free_factors(sigma1: float, sigma2: float, a1: float, a2: float
+                      ) -> tuple[float, BoundCase | None, float | None, bool]:
+    """The rho-free part of ``gap_bound``: (scale, case, G(1), swapped).
+
+    The regime is decided here, once per key.  Same sign: the scale of
+    the Gamma closed form and its branch, no G(1).  Opposite signs, in
+    the canonical orientation: the scale of the envelope coefficient, no
+    case, and G(1) = F(1 - a1/2, 1 - a2/2; 3/2; 1), or None where it
+    diverges.  The envelope scale sums its logs in one pass, the main
+    branch groups the Gamma terms: they may differ in the last bit.
+    """
+    swapped = a2 < 0 < a1
+    if swapped:
+        sigma1, sigma2, a1, a2 = sigma2, sigma1, a2, a1
     log_scale = (0.5 * (a1 + a2) * math.log(2.0)
                  + a1 * math.log(sigma1) + a2 * math.log(sigma2))
+    lg1, lg2 = math.lgamma(0.5 * (a1 + 1.0)), math.lgamma(0.5 * (a2 + 1.0))
+    if a1 * a2 < 0:
+        try:
+            g_at_one = special.hyp2f1_at_one(1.0 - 0.5 * a1, 1.0 - 0.5 * a2,
+                                             1.5)
+        except SeriesDivergenceError:
+            g_at_one = None
+        return (special.exp_of_log(log_scale + lg1 + lg2 - _LOG_2PI), None,
+                g_at_one, swapped)
     if _mixed_magnitude(a1, a2):
         case = BoundCase.MIXED_MAGNITUDE
         log_scale += math.lgamma(0.5 * (a1 + a2 - 1.0)) - _LOG_4_SQRT_PI
     else:
         case = BoundCase.SAME_SIGN_MAIN
-        log_scale += (math.lgamma(0.5 * (a1 + 1.0))
-                      + math.lgamma(0.5 * (a2 + 1.0)) - _LOG_2PI)
-    return special.exp_of_log(log_scale), case
+        log_scale += lg1 + lg2 - _LOG_2PI
+    return special.exp_of_log(log_scale), case, None, False
 
 
-def gap_lower_bound(spec: MomentSpec) -> GapLowerBound:
-    """Explicit Gamma-form lower bound on the gap for same-sign exponents.
+def gap_bound(spec: MomentSpec) -> GapBound:
+    """The explicit interval that holds the gap, for nonzero exponents.
 
-    Zero exactly when rho = 0.  The boundary pair (one exponent equal to
-    2, the other above 2) takes the main branch, where the bound is in
-    fact attained with equality.
+    Same sign: ``[f, +inf)`` with ``f >= 0``, zero exactly when rho = 0.
+    The boundary pair (one exponent equal to 2, the other above 2) takes
+    the main branch, where the bound is in fact attained with equality.
+    Opposite signs: the two-sided envelope, ``lower`` -inf where G(1)
+    diverges.  Raises ``DomainError`` where an end overflows float64.
     """
     a1, a2 = spec.alpha1, spec.alpha2
-    if not _same_sign(a1, a2):
-        raise DomainError(
-            "gap_lower_bound needs both exponents in (-1, 0) or both "
-            f"positive, got ({a1}, {a2}); use gap_envelope for mixed signs")
-    scale, case = _lower_bound_scale(spec.sigma1, spec.sigma2, a1, a2)
-    return GapLowerBound(a1 * a2 * spec.rho * spec.rho * scale, case)
-
-
-@functools.lru_cache(maxsize=4096)
-def _envelope_scale(sigma1: float, sigma2: float, a1: float,
-                    a2: float) -> float:
-    """The rho-free factor of the envelope coefficient, in canonical order.
-
-    Summed in one pass, not as ``_lower_bound_scale``'s main branch: the
-    two associate differently and may differ in the last bit.
-    """
-    return special.exp_of_log(0.5 * (a1 + a2) * math.log(2.0)
-                              + a1 * math.log(sigma1) + a2 * math.log(sigma2)
-                              + math.lgamma(0.5 * (a1 + 1.0))
-                              + math.lgamma(0.5 * (a2 + 1.0)) - _LOG_2PI)
-
-
-@functools.lru_cache(maxsize=4096)
-def _envelope_g_at_one(a1: float, a2: float) -> float | None:
-    """F(1 - a1/2, 1 - a2/2; 3/2; 1), or None where it diverges."""
-    try:
-        return special.hyp2f1_at_one(1.0 - 0.5 * a1, 1.0 - 0.5 * a2, 1.5)
-    except SeriesDivergenceError:
-        return None
-
-
-def gap_envelope(spec: MomentSpec) -> GapEnvelope:
-    """Two-sided gap bounds for one negative and one positive exponent."""
-    s1, s2, a1, a2 = spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2
-    swapped = a2 < 0 < a1
-    if swapped:
-        s1, s2, a1, a2 = s2, s1, a2, a1
-    if not (-1 < a1 < 0 and a2 > 0):
-        raise DomainError(
-            "gap_envelope needs exponents of opposite signs, "
-            f"got ({spec.alpha1}, {spec.alpha2})")
-
-    # The shared coefficient of both endpoints; negative for rho != 0.
-    scale = _envelope_scale(s1, s2, a1, a2)
-    coeff = a1 * a2 * spec.rho * spec.rho * scale + 0.0
-    g_at_one = _envelope_g_at_one(a1, a2)
+    if a1 == 0.0 or a2 == 0.0:
+        raise DomainError(f"a zero exponent leaves no gap to bound, got "
+                          f"({a1}, {a2})")
+    scale, case, g_at_one, swapped = _rho_free_factors(
+        spec.sigma1, spec.sigma2, a1, a2)
+    # a1 a2 rho^2 times the scale: the same-sign lower end, and the
+    # envelope's shared coefficient (negative for rho != 0).
+    coeff = _finite_bound(a1 * a2 * spec.rho * spec.rho * scale + 0.0,
+                          (a1, a2))
+    if case is not None:
+        return GapBound(coeff, math.inf, case)
     if g_at_one is None:
-        # Only reachable in the alpha2 <= 2 case, where the diverging side
-        # is the lower endpoint: the bound degrades to a vacuous -inf.
-        return GapEnvelope(-math.inf, coeff, False, swapped)
-    if a2 <= 2.0:
-        return GapEnvelope(coeff * g_at_one, coeff, True, swapped)
-    return GapEnvelope(coeff, min(coeff * g_at_one, 0.0), True, swapped)
+        # Only reachable with the positive exponent at most 2, where the
+        # diverging side is the lower end: the bound degrades to -inf.
+        return GapBound(-math.inf, coeff, None, swapped)
+    far = _finite_bound(coeff * g_at_one, (a1, a2))
+    if max(a1, a2) <= 2.0:
+        return GapBound(far, coeff, None, swapped)
+    return GapBound(coeff, min(far, 0.0), None, swapped)
 
 
-def _finite_bound(value: float, exponents: tuple[int, int]) -> float:
-    """``value``, or ``DomainError`` when an integer closed form overflowed
-    float64 (a float overflow, or an exact factorial too large to convert)."""
+def _finite_bound(value: float, exponents: tuple[float, float]) -> float:
+    """``value``, or ``DomainError`` when a closed form overflowed float64
+    (a float overflow, or an exact factorial too large to convert)."""
     if not math.isfinite(value):
         raise DomainError(f"closed-form bound for exponents {exponents} "
                           "overflows float64; exponents are too large")
@@ -225,48 +208,36 @@ def pair_bound_int_int(m: int, n: int, sigma1: float, sigma2: float,
     return _finite_bound(value, (m, n))
 
 
+def _error_report(g: float, exc: GaussGapError) -> BoundReport:
+    return BoundReport(g, "error", None, False, math.nan,
+                       (f"error:{type(exc).__name__}:{exc}",))
+
+
 def check_point(spec: MomentSpec) -> BoundReport:
-    """Compare the gap against its applicable bound(s) at one point.
+    """Test the gap against its ``gap_bound`` interval at one point.
 
     Computation errors become a failed-with-reason report instead of an
     exception so grid sweeps can keep going.
     """
-    flags: list[str] = []
     try:
         g = moments.gap(spec)
     except GaussGapError as exc:
-        return BoundReport(math.nan, "error", None, False, math.nan,
-                           (f"error:{type(exc).__name__}:{exc}",))
-
-    a1, a2 = spec.alpha1, spec.alpha2
-    if a1 == 0.0 or a2 == 0.0:
+        return _error_report(math.nan, exc)
+    if spec.alpha1 == 0.0 or spec.alpha2 == 0.0:
         # |X|^0 = 1 makes the two sides coincide; nothing to bound.
         return BoundReport(g, "trivial", None, True, 0.0, ())
-
-    scale = max(1.0, abs(g)) if math.isfinite(g) else 1.0
     try:
-        if a1 * a2 > 0:
-            bound = gap_lower_bound(spec)
-            if math.isinf(g):
-                # Degenerate |rho| = 1 with a non-integrable exponent sum:
-                # the product moment is +inf and the bound holds vacuously.
-                flags.append("gap-infinite")
-                return BoundReport(g, "same-sign", bound, True,
-                                   math.inf, tuple(flags))
-            satisfied = g >= bound.value - TOLERANCE * scale
-            return BoundReport(g, "same-sign", bound, satisfied,
-                               g - bound.value, tuple(flags))
-        env = gap_envelope(spec)
-        upper_ok = g <= env.upper + TOLERANCE * scale
-        if env.finite_lower:
-            lower_ok = env.lower - TOLERANCE * scale <= g
-            slack = min(env.upper - g, g - env.lower)
-        else:
-            flags.append("vacuous-lower")
-            lower_ok = True
-            slack = env.upper - g
-        return BoundReport(g, "opposite-sign", env,
-                           upper_ok and lower_ok, slack, tuple(flags))
+        bound = gap_bound(spec)
     except GaussGapError as exc:
-        return BoundReport(g, "error", None, False, math.nan,
-                           (f"error:{type(exc).__name__}:{exc}",))
+        return _error_report(g, exc)
+
+    regime = "same-sign" if bound.upper == math.inf else "opposite-sign"
+    if math.isinf(g):
+        # Degenerate |rho| = 1 with a non-integrable exponent sum: the
+        # product moment is +inf and the bound holds vacuously.
+        return BoundReport(g, regime, bound, True, math.inf, ("gap-infinite",))
+    tol = TOLERANCE * max(1.0, abs(g))
+    return BoundReport(g, regime, bound,
+                       bound.lower - tol <= g <= bound.upper + tol,
+                       min(bound.upper - g, g - bound.lower),
+                       () if bound.finite_lower else ("vacuous-lower",))

@@ -220,8 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-samples", type=int, default=verify.DEFAULT_MC_SAMPLES)
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--jobs", type=int, default=0,
-                   help="worker processes; 0 means all cores. Row order is "
-                        "grid order regardless of scheduling.")
+                   help="worker processes, at most one per core and per "
+                        "point; 0 means all cores. Row order is grid order "
+                        "regardless of scheduling.")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_verify)

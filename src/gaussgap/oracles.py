@@ -143,14 +143,9 @@ def _overflow_is_domain_error(fn):
 
 
 @_overflow_is_domain_error
-def quad_abs_moment_1d(sigma: float, alpha: float, *,
-                       substitute: bool = True) -> Estimate:
-    """Quadrature estimate of E[|X|^alpha] for X ~ N(0, sigma^2).
-
-    ``substitute=False`` integrates in the original variable and is only
-    sensible for alpha >= 0; it exists so tests can confirm the
-    substituted and plain routes agree away from the singularity.
-    """
+def quad_abs_moment_1d(sigma: float, alpha: float) -> Estimate:
+    """Quadrature estimate of E[|X|^alpha] for X ~ N(0, sigma^2), in the
+    substituted variable u = x^(1 + alpha)."""
     if not sigma > 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     if not alpha > -1:
@@ -158,24 +153,14 @@ def quad_abs_moment_1d(sigma: float, alpha: float, *,
     radius = TAIL_RADIUS_SIGMAS
     norm = 2.0 / (math.sqrt(2.0 * math.pi) * sigma)
     inv_var2 = 1.0 / (2.0 * sigma * sigma)
+    p = 1.0 + alpha
+    upper = (radius * sigma) ** p
 
-    if substitute:
-        p = 1.0 + alpha
-        upper = (radius * sigma) ** p
+    def integrand(u: float) -> float:
+        x = u ** (1.0 / p)
+        return math.exp(-x * x * inv_var2) / p
 
-        def integrand(u: float) -> float:
-            x = u ** (1.0 / p)
-            return math.exp(-x * x * inv_var2) / p
-
-        breaks = [(k * sigma) ** p for k in _BREAK_SIGMAS]
-    else:
-        upper = radius * sigma
-
-        def integrand(x: float) -> float:
-            return x ** alpha * math.exp(-x * x * inv_var2)
-
-        breaks = [k * sigma for k in _BREAK_SIGMAS]
-
+    breaks = [(k * sigma) ** p for k in _BREAK_SIGMAS]
     raw, abserr, message = _run_quad(integrand, 0.0, upper, breaks,
                                      epsabs=0.0, epsrel=TARGET_REL_ERR / 2,
                                      limit=MAX_SUBDIVISIONS)

@@ -147,19 +147,19 @@ def bound_consistency_suite() -> SuiteResult:
     for s1, s2, rho in sig_rho:
         for a1 in (1, 2):
             for a2 in (1, 2):
-                general = bounds.gap_lower_bound(
-                    MomentSpec(s1, s2, a1, a2, rho)).value
+                general = bounds.gap_bound(
+                    MomentSpec(s1, s2, a1, a2, rho)).lower
                 closed = bounds.pair_bound_small(a1, a2, s1, s2, rho)
                 rel = abs(general - closed) / max(abs(closed), 1e-300)
                 res.record(rel, 1e-13, f"small({a1},{a2})")
         for m in range(3, 9):
-            general = bounds.gap_lower_bound(MomentSpec(s1, s2, m, 1, rho)).value
+            general = bounds.gap_bound(MomentSpec(s1, s2, m, 1, rho)).lower
             closed = bounds.pair_bound_int_one(m, s1, s2, rho)
             rel = abs(general - closed) / max(abs(closed), 1e-300)
             res.record(rel, 1e-13, f"int-one({m})")
             for nn in range(3, 9):
-                general = bounds.gap_lower_bound(
-                    MomentSpec(s1, s2, m, nn, rho)).value
+                general = bounds.gap_bound(
+                    MomentSpec(s1, s2, m, nn, rho)).lower
                 closed = bounds.pair_bound_int_int(m, nn, s1, s2, rho)
                 rel = abs(general - closed) / max(abs(closed), 1e-300)
                 res.record(rel, 1e-13, f"int-int({m},{nn})")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +24,6 @@ from typing import NamedTuple
 from . import bounds as bounds_mod
 from . import moments as moments_mod
 from . import oracles as oracles_mod
-from .bounds import GapEnvelope, GapLowerBound
 from .errors import DomainError, GaussGapError
 from .types import MomentSpec
 
@@ -165,18 +165,14 @@ def evaluate_point(spec: MomentSpec, index: int,
     except GaussGapError as exc:
         flags.append(f"error:{type(exc).__name__}:{exc}")
 
-    case_tag = None
-    bound_lower = bound_upper = None
-    finite_lower = None
-    if isinstance(report.bound, GapLowerBound):
-        case_tag = report.bound.case_tag.value
-        bound_lower = report.bound.value
-        finite_lower = True
-    elif isinstance(report.bound, GapEnvelope):
-        bound_lower = report.bound.lower
-        bound_upper = report.bound.upper
-        finite_lower = report.bound.finite_lower
-        if report.bound.swapped:
+    bound = report.bound
+    case_tag = bound_lower = bound_upper = finite_lower = None
+    if bound is not None:
+        case_tag = bound.case_tag.value if bound.case_tag else None
+        bound_lower, finite_lower = bound.lower, bound.finite_lower
+        if bound.upper < math.inf:
+            bound_upper = bound.upper
+        if bound.swapped:
             flags.append("swapped")
 
     quad_value = quad_error = quad_dev = None
@@ -221,8 +217,9 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> tuple[list[ReportRow], dict
     """Evaluate the whole grid; rows come back in grid order regardless of
     execution order or worker count.
 
-    One argument list over the grid, mapped by the process pool when
-    ``jobs`` > 1 and by the built-in ``map`` otherwise.  If the pool or one
+    One argument list over the grid, mapped by a process pool of
+    ``min(jobs, len(grid), os.cpu_count())`` workers when that exceeds 1
+    and by the built-in ``map`` otherwise.  If the pool or one
     of its workers cannot be started (``OSError``), one notice goes to
     stderr and the grid runs serially.
     """
@@ -231,11 +228,14 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> tuple[list[ReportRow], dict
     # again after a pool failed part way.
     points = (grid, range(len(grid)), repeat(config.oracle),
               repeat(config.mc_samples), repeat(config.master_seed))
+    # The pool forks all its workers at once, so never more than there
+    # are points or CPUs.
+    workers = min(jobs, len(grid), os.cpu_count() or 1)
     rows = None
-    if jobs > 1 and len(grid) > 1:
+    if workers > 1:
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunk = max(1, len(grid) // (jobs * 8))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                chunk = max(1, len(grid) // (workers * 8))
                 rows = list(pool.map(evaluate_point, *points, chunksize=chunk))
         except OSError as exc:
             print(f"gaussgap: no process pool ({exc}); evaluating "

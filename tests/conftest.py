@@ -10,10 +10,9 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("default")
 
 # Every per-key memo of the library: the series factor, the prefactor P
-# and the rho-free factors of the bounds.
+# and the rho-free factors of the gap bound.
 CACHES = (moments.correlation_factor, moments.prefactor,
-          bounds._lower_bound_scale, bounds._envelope_scale,
-          bounds._envelope_g_at_one)
+          bounds._rho_free_factors)
 
 
 def _clear_all():

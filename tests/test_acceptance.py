@@ -22,8 +22,7 @@ import time
 
 import numpy as np
 
-from gaussgap.bounds import (gap_envelope, gap_lower_bound,
-                             pair_bound_int_int, pair_bound_int_one)
+from gaussgap.bounds import gap_bound, pair_bound_int_int, pair_bound_int_one
 from gaussgap.errors import InfiniteVarianceError
 from gaussgap.moments import abs_moment_1d, gap, gap_via_3f2, product_moment
 from gaussgap.oracles import (McConfig, derive_seed, mc_product_moment,
@@ -84,7 +83,7 @@ def test_criterion_1_same_sign_lower_bound_sweep():
                 for s2 in SIGMAS:
                     spec = MomentSpec(s1, s2, a1, a2, rho)
                     g = gap(spec)
-                    f = gap_lower_bound(spec).value
+                    f = gap_bound(spec).lower
                     checked += 1
                     if not (f >= 0.0 and g >= f - 1e-9 * max(1.0, abs(g))):
                         failures.append(spec)
@@ -105,7 +104,7 @@ def test_criterion_2_opposite_sign_envelope_sweep():
                     for s2 in SIGMAS:
                         spec = MomentSpec(s1, s2, a1, a2, rho)
                         g = gap(spec)
-                        env = gap_envelope(spec)
+                        env = gap_bound(spec)
                         scale = max(1.0, abs(g))
                         checked += 1
                         if not env.finite_lower:
@@ -131,20 +130,20 @@ def test_criterion_3_closed_form_bound_values():
         if abs(got - want) > tol * max(1.0, abs(want)):
             bad.append(label)
 
-    expect(gap_lower_bound(MomentSpec(1, 1, 1, 1, 0.5)).value,
+    expect(gap_bound(MomentSpec(1, 1, 1, 1, 0.5)).lower,
            0.0795774715, "pair(1,1)")
-    expect(gap_lower_bound(MomentSpec(1, 1, 1, 2, 0.5)).value,
+    expect(gap_bound(MomentSpec(1, 1, 1, 2, 0.5)).lower,
            0.1994711402, "pair(1,2)")
-    expect(gap_lower_bound(MomentSpec(1, 1, 2, 2, 0.5)).value, 0.5,
+    expect(gap_bound(MomentSpec(1, 1, 2, 2, 0.5)).lower, 0.5,
            "pair(2,2)")
     for m in range(3, 9):
         got = pair_bound_int_one(m, 1.0, 1.0, 0.5)
-        want = gap_lower_bound(MomentSpec(1, 1, m, 1, 0.5)).value
+        want = gap_bound(MomentSpec(1, 1, m, 1, 0.5)).lower
         if abs(got - want) > 1e-13 * abs(want):
             bad.append(f"int-one({m})")
         for n in range(3, 9):
             got = pair_bound_int_int(m, n, 1.0, 1.0, 0.5)
-            want = gap_lower_bound(MomentSpec(1, 1, m, n, 0.5)).value
+            want = gap_bound(MomentSpec(1, 1, m, n, 0.5)).lower
             if abs(got - want) > 1e-13 * abs(want):
                 bad.append(f"int-int({m},{n})")
     elapsed = time.perf_counter() - t0
@@ -161,7 +160,7 @@ def test_criterion_4_exactness_witnesses():
             for s2 in SIGMAS:
                 spec = MomentSpec(s1, s2, 2.0, 2.0, rho)
                 g = gap(spec)
-                f = gap_lower_bound(spec).value
+                f = gap_bound(spec).lower
                 want = 2.0 * s1 ** 2 * s2 ** 2 * rho ** 2
                 for got, label in ((g, "gap"), (f, "bound")):
                     if abs(got - want) > 1e-12 * want:
@@ -170,7 +169,7 @@ def test_criterion_4_exactness_witnesses():
         for rho in (0.25, 0.5, 0.75, 0.95):
             spec = MomentSpec(1.0, 1.0, a1, 2.0, rho)
             g = gap(spec)
-            env = gap_envelope(spec)
+            env = gap_bound(spec)
             for got, label in ((env.lower, "lower"), (env.upper, "upper")):
                 if abs(g - got) > 1e-12 * abs(g):
                     bad.append((spec, label))

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussgap import bounds, moments, special
-from gaussgap.bounds import (BoundCase, GapEnvelope, GapLowerBound,
-                             check_point, gap_envelope, gap_lower_bound,
+from gaussgap.bounds import (BoundCase, GapBound, check_point, gap_bound,
                              pair_bound_int_int, pair_bound_int_one,
                              pair_bound_small)
 from gaussgap.errors import DomainError, SeriesDivergenceError
@@ -26,49 +25,45 @@ def rel_err(got, want):
 
 class TestGapLowerBound:
     def test_absolute_pair(self):
-        b = gap_lower_bound(MomentSpec(1, 1, 1, 1, 0.5))
-        assert rel_err(b.value, 0.25 / math.pi) < 1e-14
+        b = gap_bound(MomentSpec(1, 1, 1, 1, 0.5))
+        assert rel_err(b.lower, 0.25 / math.pi) < 1e-14
         assert b.case_tag is BoundCase.SAME_SIGN_MAIN
 
     def test_abs_square_pair(self):
-        b = gap_lower_bound(MomentSpec(1, 1, 1, 2, 0.5))
+        b = gap_bound(MomentSpec(1, 1, 1, 2, 0.5))
         want = math.sqrt(2.0) * 0.25 / math.sqrt(math.pi)
-        assert rel_err(b.value, want) < 1e-14
+        assert rel_err(b.lower, want) < 1e-14
         assert b.case_tag is BoundCase.SAME_SIGN_MAIN
 
     def test_mixed_magnitude_branch(self):
-        b = gap_lower_bound(MomentSpec(1, 1, 3, 1, 0.5))
-        assert rel_err(b.value, 0.375) < 1e-14
+        b = gap_bound(MomentSpec(1, 1, 3, 1, 0.5))
+        assert rel_err(b.lower, 0.375) < 1e-14
         assert b.case_tag is BoundCase.MIXED_MAGNITUDE
 
     def test_square_pair_any_scale(self):
         for s1, s2, rho in [(1, 1, 0.3), (0.5, 2, 0.9), (2, 2, 0.1)]:
-            b = gap_lower_bound(MomentSpec(s1, s2, 2, 2, rho))
-            assert rel_err(b.value, 2 * s1 ** 2 * s2 ** 2 * rho ** 2) < 1e-13
+            b = gap_bound(MomentSpec(s1, s2, 2, 2, rho))
+            assert rel_err(b.lower, 2 * s1 ** 2 * s2 ** 2 * rho ** 2) < 1e-13
 
     def test_boundary_two_uses_main_branch(self):
         # (alpha1 > 2, alpha2 = 2) belongs to the main branch, where the
         # bound is attained exactly
         spec = MomentSpec(1, 1, 4.5, 2.0, 0.5)
-        b = gap_lower_bound(spec)
+        b = gap_bound(spec)
         assert b.case_tag is BoundCase.SAME_SIGN_MAIN
-        assert abs(gap(spec) - b.value) <= 1e-12 * abs(b.value)
+        assert abs(gap(spec) - b.lower) <= 1e-12 * abs(b.lower)
 
     def test_branch_continuity_at_two(self):
         a1 = 3.7
-        main = gap_lower_bound(MomentSpec(1, 1, a1, 2.0, 0.5)).value
-        approached = [gap_lower_bound(MomentSpec(1, 1, a1, 2.0 - e, 0.5)).value
+        main = gap_bound(MomentSpec(1, 1, a1, 2.0, 0.5)).lower
+        approached = [gap_bound(MomentSpec(1, 1, a1, 2.0 - e, 0.5)).lower
                       for e in (1e-4, 1e-6, 1e-8)]
         gaps = [abs(v - main) for v in approached]
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[-1] <= 1e-6
 
-    def test_mixed_sign_rejected(self):
-        with pytest.raises(DomainError):
-            gap_lower_bound(MomentSpec(1, 1, -0.5, 1, 0.5))
-
     def test_zero_rho_gives_zero(self):
-        assert gap_lower_bound(MomentSpec(1, 1, 1.3, 0.4, 0.0)).value == 0.0
+        assert gap_bound(MomentSpec(1, 1, 1.3, 0.4, 0.0)).lower == 0.0
 
     @given(st.sampled_from(SAME_SIGN_ALPHAS), st.sampled_from(SAME_SIGN_ALPHAS),
            st.floats(-0.99, 0.99), st.floats(0.2, 3.0), st.floats(0.2, 3.0))
@@ -76,7 +71,7 @@ class TestGapLowerBound:
     def test_nonnegative(self, a1, a2, rho, s1, s2):
         if a1 * a2 < 0:
             return
-        value = gap_lower_bound(MomentSpec(s1, s2, a1, a2, rho)).value
+        value = gap_bound(MomentSpec(s1, s2, a1, a2, rho)).lower
         assert value >= 0.0
         # zero exactly when rho^2 is zero (rho so small it underflows
         # squares to the same fixed point as rho = 0)
@@ -94,13 +89,13 @@ class TestGapDominatesBound:
                         for s2 in SIGMAS:
                             spec = MomentSpec(s1, s2, a1, a2, rho)
                             g = gap(spec)
-                            f = gap_lower_bound(spec).value
+                            f = gap_bound(spec).lower
                             assert g >= f - 1e-9 * max(1.0, abs(g)), spec
 
 
 class TestGapEnvelope:
     def test_terminating_positive_exponent_two(self):
-        env = gap_envelope(MomentSpec(1, 1, -0.5, 2, 0.5))
+        env = gap_bound(MomentSpec(1, 1, -0.5, 2, 0.5))
         want = -0.21500999683112988
         assert rel_err(env.lower, want) < 1e-13
         assert rel_err(env.upper, want) < 1e-13
@@ -109,31 +104,27 @@ class TestGapEnvelope:
         assert rel_err(gap(MomentSpec(1, 1, -0.5, 2, 0.5)), want) < 1e-13
 
     def test_vacuous_lower(self):
-        env = gap_envelope(MomentSpec(1, 1, -0.5, 1, 0.5))
+        env = gap_bound(MomentSpec(1, 1, -0.5, 1, 0.5))
         assert not env.finite_lower
         assert env.lower == -math.inf
         assert env.upper <= 0.0
 
     def test_zero_rho_collapses(self):
-        env = gap_envelope(MomentSpec(1, 1, -0.5, 2, 0.0))
+        env = gap_bound(MomentSpec(1, 1, -0.5, 2, 0.0))
         assert env.lower == env.upper == 0.0
 
     def test_swap_normalization(self):
-        fwd = gap_envelope(MomentSpec(1, 2, -0.5, 3, 0.5))
-        rev = gap_envelope(MomentSpec(2, 1, 3, -0.5, 0.5))
+        fwd = gap_bound(MomentSpec(1, 2, -0.5, 3, 0.5))
+        rev = gap_bound(MomentSpec(2, 1, 3, -0.5, 0.5))
         assert rev.swapped and not fwd.swapped
         assert rev.lower == pytest.approx(fwd.lower, rel=1e-14)
         assert rev.upper == pytest.approx(fwd.upper, rel=1e-14)
-
-    def test_same_sign_rejected(self):
-        with pytest.raises(DomainError):
-            gap_envelope(MomentSpec(1, 1, 1, 1, 0.5))
 
     def test_ordering_invariants(self):
         for a1 in (-0.9, -0.5, -0.1):
             for a2 in (0.5, 1.0, 2.0, 3.0, 4.5):
                 for rho in RHOS:
-                    env = gap_envelope(MomentSpec(1, 1, a1, a2, rho))
+                    env = gap_bound(MomentSpec(1, 1, a1, a2, rho))
                     assert env.upper <= 0.0
                     if env.finite_lower:
                         assert env.lower <= env.upper
@@ -146,7 +137,7 @@ class TestGapEnvelope:
                         for s2 in SIGMAS:
                             spec = MomentSpec(s1, s2, a1, a2, rho)
                             g = gap(spec)
-                            env = gap_envelope(spec)
+                            env = gap_bound(spec)
                             scale = max(1.0, abs(g))
                             assert g <= env.upper + 1e-9 * scale, spec
                             if env.finite_lower:
@@ -206,15 +197,15 @@ class TestPairBounds:
         for s1, s2, rho in [(1, 1, 0.5), (0.5, 2, 0.95), (2, 0.5, 0.25)]:
             for a1 in (1, 2):
                 for a2 in (1, 2):
-                    want = gap_lower_bound(MomentSpec(s1, s2, a1, a2, rho)).value
+                    want = gap_bound(MomentSpec(s1, s2, a1, a2, rho)).lower
                     got = pair_bound_small(a1, a2, s1, s2, rho)
                     assert abs(got - want) <= 1e-13 * abs(want or 1.0)
             for m in range(3, 9):
-                want = gap_lower_bound(MomentSpec(s1, s2, m, 1, rho)).value
+                want = gap_bound(MomentSpec(s1, s2, m, 1, rho)).lower
                 got = pair_bound_int_one(m, s1, s2, rho)
                 assert abs(got - want) <= 1e-13 * abs(want)
                 for n in range(3, 9):
-                    want = gap_lower_bound(MomentSpec(s1, s2, m, n, rho)).value
+                    want = gap_bound(MomentSpec(s1, s2, m, n, rho)).lower
                     got = pair_bound_int_int(m, n, s1, s2, rho)
                     assert abs(got - want) <= 1e-13 * abs(want)
 
@@ -246,7 +237,7 @@ class TestCheckPoint:
         rep = check_point(MomentSpec(1, 1, -0.5, 1, 0.5))
         assert rep.satisfied
         assert "vacuous-lower" in rep.flags
-        assert isinstance(rep.bound, GapEnvelope)
+        assert rep.bound.case_tag is None
         assert not rep.bound.finite_lower
 
     def test_zero_exponent_trivial(self):
@@ -277,9 +268,22 @@ class TestCheckPoint:
 
     def test_overflowing_bounds_raise_domain_error(self):
         with pytest.raises(DomainError, match="overflows"):
-            gap_lower_bound(MomentSpec(1, 1, 200, 200, 0.5))
+            gap_bound(MomentSpec(1, 1, 200, 200, 0.5))
         with pytest.raises(DomainError, match="overflows"):
-            gap_envelope(MomentSpec(1, 1, -0.5, 400, 0.5))
+            gap_bound(MomentSpec(1, 1, -0.5, 400, 0.5))
+        # a finite rho-free scale whose product with a1 a2 rho^2 is not:
+        # the envelope coefficient, then a same-sign lower end
+        for spec in (MomentSpec(1, 4, -0.5, 200, 0.5),
+                     MomentSpec(1, 32, 100, 100, 0.5)):
+            assert math.isfinite(bounds._rho_free_factors(
+                spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2)[0])
+            with pytest.raises(DomainError, match="overflows"):
+                gap_bound(spec)
+
+    def test_zero_exponent_has_no_bound(self):
+        for a1, a2 in ((0.0, 1.3), (-0.5, 0.0), (0.0, 0.0)):
+            with pytest.raises(DomainError, match="zero exponent"):
+                gap_bound(MomentSpec(1, 1, a1, a2, 0.5))
 
     def test_degenerate_infinite_gap_vacuous(self):
         rep = check_point(MomentSpec(1, 1, -0.6, -0.5, 1.0))
@@ -291,7 +295,7 @@ class TestCheckPoint:
         rep = check_point(MomentSpec(1, 1, 2, 3, 1.0))
         assert rep.regime == "same-sign"
         assert rep.satisfied
-        assert isinstance(rep.bound, GapLowerBound)
+        assert rep.bound.upper == math.inf
 
 
 class TestCheckPointTolerance:
@@ -309,10 +313,7 @@ class TestCheckPointTolerance:
     @pytest.mark.parametrize("multiple, satisfied", [(0.5, True),
                                                      (2.0, False)])
     def test_margin(self, spec, end, multiple, satisfied, monkeypatch):
-        if spec.alpha1 * spec.alpha2 > 0:
-            edge = gap_lower_bound(spec).value
-        else:
-            edge = getattr(gap_envelope(spec), end)
+        edge = getattr(gap_bound(spec), end)
         outward = -1.0 if end == "lower" else 1.0
         g = edge + outward * multiple * bounds.TOLERANCE * max(1.0, abs(edge))
         monkeypatch.setattr(moments, "gap", lambda s: g)
@@ -321,10 +322,10 @@ class TestCheckPointTolerance:
 
 class TestRhoFreeFactorCaches:
     def test_lower_bound_scale_shared_across_rho(self):
-        first = gap_lower_bound(MomentSpec(0.5, 2.0, 3.0, 1.5, 0.25))
+        first = gap_bound(MomentSpec(0.5, 2.0, 3.0, 1.5, 0.25))
         for rho in (-0.25, 0.5, 0.95, 1.0):
-            gap_lower_bound(MomentSpec(0.5, 2.0, 3.0, 1.5, rho))
-        info = bounds._lower_bound_scale.cache_info()
+            gap_bound(MomentSpec(0.5, 2.0, 3.0, 1.5, rho))
+        info = bounds._rho_free_factors.cache_info()
         assert (info.hits, info.misses) == (4, 1)
         assert first.case_tag is BoundCase.MIXED_MAGNITUDE
 
@@ -338,20 +339,19 @@ class TestRhoFreeFactorCaches:
                       - math.log(2.0 * math.pi))
         want = a1 * a2 * rho * rho * math.exp(log_scale)
         for _ in range(2):
-            bound = gap_lower_bound(MomentSpec(s1, s2, a1, a2, rho))
-            assert bound.value == want
-            assert bound.case_tag is BoundCase.SAME_SIGN_MAIN
+            bound = gap_bound(MomentSpec(s1, s2, a1, a2, rho))
+            assert bound == GapBound(want, math.inf,
+                                     BoundCase.SAME_SIGN_MAIN, False)
 
-    def test_envelope_factors_shared_across_rho_and_orientation(self):
+    def test_envelope_factors_shared_across_rho(self):
         spec = MomentSpec(0.5, 2.0, -0.5, 3.0, 0.5)
-        first = gap_envelope(spec)
-        mirrored = gap_envelope(MomentSpec(2.0, 0.5, 3.0, -0.5, 0.5))
-        assert mirrored == GapEnvelope(first.lower, first.upper,
-                                       first.finite_lower, True)
-        gap_envelope(MomentSpec(0.5, 2.0, -0.5, 3.0, -0.95))
-        for cache in (bounds._envelope_scale, bounds._envelope_g_at_one):
-            info = cache.cache_info()
-            assert (info.hits, info.misses) == (2, 1)
+        first = gap_bound(spec)
+        # the mirrored orientation is its own key but gives the same bits
+        mirrored = gap_bound(MomentSpec(2.0, 0.5, 3.0, -0.5, 0.5))
+        assert mirrored == first._replace(swapped=True)
+        gap_bound(MomentSpec(0.5, 2.0, -0.5, 3.0, -0.95))
+        info = bounds._rho_free_factors.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
 
     def test_divergent_value_cached_as_vacuous(self, monkeypatch):
         calls = []
@@ -363,7 +363,7 @@ class TestRhoFreeFactorCaches:
 
         monkeypatch.setattr(special, "hyp2f1_at_one", counting)
         for rho in (0.25, 0.5, -0.75):
-            env = gap_envelope(MomentSpec(1, 1, -0.9, 0.5, rho))
+            env = gap_bound(MomentSpec(1, 1, -0.9, 0.5, rho))
             assert env.lower == -math.inf and not env.finite_lower
         assert calls == [(1.45, 0.75, 1.5)]
         with pytest.raises(SeriesDivergenceError):
@@ -372,10 +372,8 @@ class TestRhoFreeFactorCaches:
     def test_overflow_not_cached(self):
         for _ in range(2):
             with pytest.raises(DomainError, match="overflows"):
-                gap_lower_bound(MomentSpec(1, 1, 200, 200, 0.5))
-        assert bounds._lower_bound_scale.cache_info().currsize == 0
+                gap_bound(MomentSpec(1, 1, 200, 200, 0.5))
+        assert bounds._rho_free_factors.cache_info().currsize == 0
 
     def test_bounded(self):
-        for cache in (bounds._lower_bound_scale, bounds._envelope_scale,
-                      bounds._envelope_g_at_one):
-            assert cache.cache_info().maxsize is not None
+        assert bounds._rho_free_factors.cache_info().maxsize is not None

@@ -387,6 +387,25 @@ class TestTerminatingSeriesNearOne:
             assert float(abs((gap(spec) - want) / want)) < 1e-10
 
 
+class TestDirectSeriesLargeExponents:
+    @pytest.mark.xfail(strict=True, reason=(
+        "the direct series of F(-78.5, -0.25; 1/2; z) has terms of both "
+        "signs that grow far past the sum: at z = 0.81 it cancels to a gap "
+        "of the wrong sign (-2.37e140 against +6.93e138); (101, 0.5) is "
+        "off by 5e-7 and (61, 0.5) by 4e-11"))
+    def test_large_odd_exponent_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        spec = MomentSpec(1, 1, 157, 0.5, 0.9)
+        with mpmath.workdps(60):
+            a1, a2 = mpmath.mpf(157), mpmath.mpf(0.5)
+            f = mpmath.hyp2f1(-a1 / 2, -a2 / 2, mpmath.mpf(1) / 2,
+                              mpmath.mpf(0.9) ** 2)
+            p = (mpmath.mpf(2) ** ((a1 + a2) / 2) * mpmath.gamma((a1 + 1) / 2)
+                 * mpmath.gamma((a2 + 1) / 2) / mpmath.pi)
+            want = p * (f - 1)
+            assert float(abs((gap(spec) - want) / want)) < 1e-10
+
+
 class TestPrefactor:
     def test_shared_across_rho_and_functions(self):
         for rho in (0.0, 0.25, -0.25, 0.95, 1.0):

@@ -31,12 +31,6 @@ class TestQuadAbsMoment1d:
         assert rel_err(est.value, abs_moment_1d(1.0, -0.9)) < 1e-6
         assert rel_err(est.value, 8.0413584219659848) < 1e-6
 
-    def test_substitution_agreement_for_regular_exponents(self):
-        for alpha in (0.5, 1.0, 2.5, 4.5):
-            with_sub = quad_abs_moment_1d(1.3, alpha, substitute=True)
-            without = quad_abs_moment_1d(1.3, alpha, substitute=False)
-            assert rel_err(with_sub.value, without.value) < 1e-7
-
     def test_scales(self):
         est = quad_abs_moment_1d(2.0, 3.0)
         assert rel_err(est.value, abs_moment_1d(2.0, 3.0)) < 1e-8

@@ -46,7 +46,9 @@ class TestSweep:
         assert summary["violations"] == 0
         assert rows[0].satisfied
 
-    def test_rows_in_grid_order_under_parallelism(self):
+    def test_rows_in_grid_order_under_parallelism(self, monkeypatch):
+        # three workers whatever the host's core count
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         config = SweepConfig(alpha1_values=(0.5, 1.0, 2.0),
                              alpha2_values=(0.5, 1.0),
                              rho_values=(0.0, 0.25, 0.5),
@@ -79,6 +81,7 @@ class TestSweep:
             raise OSError("no semaphores")
 
         monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         config = SweepConfig(alpha1_values=(-0.5, 2.0), alpha2_values=(1.0,),
                              rho_values=(0.0, 0.5), sigma1_values=(1.0,),
                              sigma2_values=(1.0, 2.0))
@@ -91,12 +94,43 @@ class TestSweep:
         assert (rows, summary) == serial
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (100_000, 4, 4), (3, 8, 3), (64, 64, 8), (4, 1, None),
+        (4, None, None)])
+    def test_pool_never_exceeds_points_or_cpus(self, jobs, cpus, workers,
+                                               monkeypatch):
+        # the pool forks all its workers at once; record, never start one
+        started = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        config = SweepConfig(alpha1_values=(-0.5, 2.0), alpha2_values=(1.0,),
+                             rho_values=(0.0, 0.5), sigma1_values=(1.0,),
+                             sigma2_values=(1.0, 2.0))
+        rows, _ = run_sweep(config, jobs)
+        assert started == ([] if workers is None else [workers])
+        assert rows == run_sweep(config, 1)[0]
+
     def test_worker_fork_oserror_falls_back(self, monkeypatch, capsys):
         # the pool forks its workers inside pool.map, after it was created
         def no_fork():
             raise OSError(11, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         config = SweepConfig(alpha1_values=(-0.5, 2.0), alpha2_values=(1.0,),
                              rho_values=(0.5,), sigma1_values=(1.0,),
                              sigma2_values=(1.0,))
@@ -363,6 +397,17 @@ class TestCliGap:
         assert record["regime"] == "error"
         assert record["flags"][0].startswith("error:DomainError:")
         assert "Traceback" not in err
+
+    def test_overflowing_bound_end_exits_two(self, capsys):
+        # the gap (-2.31e307) is finite, the envelope coefficient is not:
+        # an error, not a violation
+        code, out, _ = run_cli(["gap", "--alpha1=-0.5", "--alpha2", "200",
+                                "--sigma2", "4", "--rho", "0.5"], capsys)
+        assert code == 2
+        record = json.loads(out.splitlines()[-1])
+        assert record["regime"] == "error"
+        assert record["gap"] == pytest.approx(-2.3096023886318295e307)
+        assert record["flags"][0].startswith("error:DomainError:")
 
     def test_convergence_error_exits_three(self, capsys, monkeypatch):
         def no_convergence(a, b, c, z):
