@@ -58,6 +58,14 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
 
 
+def _nonneg_int(text: str) -> int:
+    """A count of at least 0, such as ``--jobs``."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _output(path: str | None):
     if path is None:
         return contextlib.nullcontext(sys.stdout)
@@ -129,7 +137,7 @@ def cmd_verify(args) -> int:
         rho_values=args.rho, sigma1_values=args.sigma1,
         sigma2_values=args.sigma2, oracle=OracleChoice(args.oracle),
         mc_samples=args.mc_samples, master_seed=args.seed)
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+    jobs = args.jobs or os.cpu_count() or 1
     rows, summary = run_sweep(config, jobs)
 
     if args.format == "csv":
@@ -219,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="none")
     p.add_argument("--mc-samples", type=int, default=verify.DEFAULT_MC_SAMPLES)
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=0,
+    p.add_argument("--jobs", type=_nonneg_int, default=0,
                    help="worker processes, at most one per core and per "
                         "point; 0 means all cores. Row order is grid order "
                         "regardless of scheduling.")

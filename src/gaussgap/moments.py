@@ -22,7 +22,8 @@ and P is computed once per (sigma1, sigma2, alpha1, alpha2)
 (``prefactor``) and reused across correlations.
 
 Prefactors are assembled in log space so large exponents (alpha ~ 50)
-survive without overflow; beyond float range they raise ``DomainError``.
+survive without overflow; beyond float range they raise ``DomainError``,
+before F is summed.
 """
 
 from __future__ import annotations
@@ -110,9 +111,9 @@ def product_moment(spec: MomentSpec) -> Estimate:
     The error estimate is P times the truncation bound of F.  At
     |rho| = 1 the value is +inf when alpha1 + alpha2 <= -1.
     """
+    p = product_of_marginals(spec)
     series = correlation_factor(spec.alpha1, spec.alpha2, spec.rho * spec.rho,
                                 False)
-    p = product_of_marginals(spec)
     return Estimate(_times(p, series.value),
                     _times(p, series.truncation_error_estimate))
 
@@ -125,9 +126,10 @@ def gap(spec: MomentSpec) -> float:
     """
     if spec.rho == 0.0:
         return 0.0
+    p = product_of_marginals(spec)
     tail = correlation_factor(spec.alpha1, spec.alpha2, spec.rho * spec.rho,
                               True)
-    return _times(product_of_marginals(spec), tail.value)
+    return _times(p, tail.value)
 
 
 def gap_via_3f2(spec: MomentSpec) -> float:

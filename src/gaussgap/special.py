@@ -1,13 +1,17 @@
 """Hypergeometric series evaluation.
 
-The series evaluators sum the defining power series directly with a
-relative stopping rule (next term below ``SERIES_EPS`` times the partial
-sum, and shrinking).  No connection formulas are used, so convergence near
-z = 1 is genuinely slow: the closer z gets to 1 and the smaller the
-balance c - a - b, the more terms are needed.  Blocks are evaluated with
-numpy so even multi-million-term sums stay fast, but arguments too close
-to 1 still exhaust the term cap and raise ``ConvergenceError`` rather than
-silently returning a low-accuracy value.
+Every series evaluator sums the defining power series directly, in one
+loop (``_sum_pfq``) that evaluates blocks of terms with numpy.  A
+numerator parameter that is a non-positive integer -m makes the series a
+polynomial of degree m; the loop then runs in exact mode and stops at the
+first term that is exactly zero.  Any other series stops by a relative
+rule (next term below ``SERIES_EPS`` times the partial sum, and
+shrinking).  No connection formulas are used, so convergence near z = 1
+is genuinely slow: the closer z gets to 1 and the smaller the balance
+c - a - b, the more terms are needed.  Blocks keep even multi-million-term
+sums fast, but arguments too close to 1 still exhaust the term cap and
+raise ``ConvergenceError`` rather than silently returning a low-accuracy
+value.
 """
 
 from __future__ import annotations
@@ -33,13 +37,16 @@ _BLOCK_MAX = 65536
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Outcome of one truncated series summation.
+    """Outcome of one series summation.
 
-    ``terminated`` is True when a numerator Pochhammer factor hit zero or
-    a closed form gave the value; then nothing is truncated and
-    ``truncation_error_estimate`` is 0.  Otherwise the estimate is the
-    geometric tail bound |t_next| / (1 - r) built from the first omitted
-    term and the last observed term ratio r.
+    ``terminated`` is True when the series is a polynomial (a numerator
+    parameter is a non-positive integer), summed in exact mode up to its
+    first zero term, or when a closed form gave the value; then nothing
+    is truncated and ``truncation_error_estimate`` is 0.  Otherwise the
+    estimate is the geometric tail bound |t_next| / (1 - r) built from the
+    first omitted term and the last observed term ratio r.
+    ``terms_used`` counts the terms in the returned sum: from n = 0 for F,
+    from n = 1 for F - 1.
     """
 
     value: float
@@ -75,54 +82,25 @@ def double_factorial(n: int) -> int:
     return math.prod(range(n, 1, -2))
 
 
-def _terminating_sum(nums, dens, z: float, last_n: int,
-                     skip_first: bool = False) -> SeriesResult:
-    """Exact finite sum of a pFq whose numerator hits zero after index last_n.
-
-    With ``skip_first`` the n = 0 term is left out, summing F - 1 without
-    subtraction.
-    """
-    total = 0.0 if skip_first else 1.0
-    term = 1.0
-    for k in range(last_n):
-        term *= z / (k + 1.0)
-        for p in nums:
-            term *= p + k
-        for q in dens:
-            term /= q + k
-        total += term
-    return SeriesResult(total, last_n if skip_first else last_n + 1, 0.0, True)
-
-
 def _sum_pfq(nums, dens, z: float, *,
              skip_first: bool = False) -> SeriesResult:
-    """Sum a generalized hypergeometric series with the library stopping rule.
+    """Sum a generalized hypergeometric series in numpy blocks of terms,
+    in exact mode or by the relative rule (see the module docstring).
 
     ``skip_first=True`` sums only the tail from n = 1, which evaluates
-    F - 1 without the cancellation of computing F and subtracting.
+    F - 1 without the cancellation of computing F and subtracting; a zero
+    n = 1 term gives 0 at once.
     """
-    stop_points = [int(-p) for p in nums if _is_nonpos_int(p)]
-    if stop_points:
-        m = min(stop_points)
-        if not skip_first:
-            if z == 0.0:
-                return SeriesResult(1.0, 1, 0.0, False)
-            return _terminating_sum(nums, dens, z, m)
-        if m == 0:
-            return SeriesResult(0.0, 0, 0.0, True)
-        return _terminating_sum(nums, dens, z, m, skip_first=True)
-
-    if z == 0.0:
-        if skip_first:
-            return SeriesResult(0.0, 0, 0.0, False)
-        return SeriesResult(1.0, 1, 0.0, False)
-
+    exact = any(_is_nonpos_int(p) for p in nums)
+    first = 1 if skip_first else 0
     if skip_first:
         term = z
         for p in nums:
             term *= p
         for q in dens:
             term /= q
+        if term == 0.0:
+            return SeriesResult(0.0, 0, 0.0, exact)
         total = term
         n_next = 2
     else:
@@ -134,30 +112,39 @@ def _sum_pfq(nums, dens, z: float, *,
     while n_next <= MAX_TERMS:
         hi = min(n_next + block, MAX_TERMS + 1)
         idx = np.arange(n_next, hi, dtype=np.float64)
+        k = idx - 1.0
         ratio = np.full(idx.shape, z)
-        for p in nums:
-            ratio *= p + (idx - 1.0)
-        for q in dens:
-            ratio /= q + (idx - 1.0)
-        ratio /= idx
-        terms = term * np.cumprod(ratio)
-        sums = total + np.cumsum(terms)
+        # overflow is caught below as a non-finite term or sum
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in nums:
+                ratio *= p + k
+            for q in dens:
+                ratio /= q + k
+            ratio /= idx
+            terms = term * np.cumprod(ratio)
+            sums = total + np.cumsum(terms)
         t_all = np.concatenate(([term], terms))
         s_all = np.concatenate(([total], sums))
-        small = np.abs(t_all[1:]) < SERIES_EPS * np.abs(s_all[:-1])
-        shrinking = np.abs(t_all[1:]) < np.abs(t_all[:-1])
-        hits = np.nonzero(small & shrinking)[0]
+        if exact:
+            stop = terms == 0.0
+        else:
+            size = np.abs(terms)
+            stop = ((size < SERIES_EPS * np.abs(s_all[:-1]))
+                    & (size < np.abs(t_all[:-1])))
+        hits = np.nonzero(stop)[0]
         if hits.size:
             j = int(hits[0])
-            t_last = float(t_all[j])
-            t_next = float(t_all[j + 1])
-            r = abs(t_next) / abs(t_last) if t_last != 0.0 else 0.0
-            tail = abs(t_next) / (1.0 - r) if r < 1.0 else math.inf
-            return SeriesResult(float(s_all[j]), n_next + j, tail, False)
+            tail = 0.0
+            if not exact:
+                # geometric tail bound; the stop rule makes t_next < t_last
+                t_last, t_next = abs(float(t_all[j])), abs(float(t_all[j + 1]))
+                tail = t_next / (1.0 - t_next / t_last)
+            return SeriesResult(float(s_all[j]), n_next + j - first, tail,
+                                exact)
         if not (math.isfinite(float(terms[-1])) and math.isfinite(float(sums[-1]))):
             raise ConvergenceError(
                 "series summation produced a non-finite term",
-                partial_value=float(total), terms_used=n_next - 1)
+                partial_value=float(total), terms_used=n_next - first)
         term = float(terms[-1])
         total = float(sums[-1])
         n_next = hi
@@ -166,7 +153,7 @@ def _sum_pfq(nums, dens, z: float, *,
     raise ConvergenceError(
         f"series did not meet the stopping criterion within {MAX_TERMS} terms "
         f"(z = {z} too close to 1)",
-        partial_value=total, terms_used=MAX_TERMS)
+        partial_value=total, terms_used=n_next - first)
 
 
 def _check_lower(params, label: str) -> None:

@@ -245,10 +245,17 @@ class TestOverflow:
 
     @pytest.mark.parametrize("rho", [1.0, -1.0])
     def test_degenerate_gamma_ratio(self, rho):
-        # F(.; 1), evaluated before the prefactor, overflows first for
-        # same-sign exponents past ~1025
+        # F(.; 1) overflows for same-sign exponents past ~1025, also
+        # where the small scales make P underflow to 0
         with pytest.raises(DomainError, match="overflows"):
-            gap(MomentSpec(1, 1, 2000.5, 2000.5, rho))
+            gap(MomentSpec(1e-3, 1e-3, 2000.5, 2000.5, rho))
+
+    @pytest.mark.parametrize("fn", [gap, product_moment])
+    @pytest.mark.parametrize("alpha", [1500.0, 1501.0])
+    def test_prefactor_overflow_precedes_the_series(self, fn, alpha):
+        # the terms of F overflow here as well; P is evaluated first
+        with pytest.raises(DomainError, match="overflows"):
+            fn(MomentSpec(1, 1, alpha, alpha, 0.9))
 
 
 class TestCorrelationFactor:
@@ -372,8 +379,8 @@ class TestRhoOneAgainstMpmath:
 class TestTerminatingSeriesNearOne:
     @pytest.mark.xfail(strict=True, reason=(
         "the terminating series of F(-100, 0.45; 1/2; z) alternates and is "
-        "summed term by term: at z = 0.9025 it cancels to a gap of the "
-        "wrong sign, reported as exact"))
+        "summed directly in exact mode: at z = 0.9025 it cancels to a gap "
+        "of the wrong sign, reported as exact"))
     def test_large_even_exponent_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         spec = MomentSpec(1, 1, 200, -0.9, 0.95)

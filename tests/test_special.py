@@ -7,9 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussgap.errors import ConvergenceError, DomainError, SeriesDivergenceError
-from gaussgap.special import (double_factorial, euler_transform, hyp2f1,
-                              hyp2f1_at_one, hyp2f1_derivative,
+from gaussgap.special import (MAX_TERMS, double_factorial, euler_transform,
+                              hyp2f1, hyp2f1_at_one, hyp2f1_derivative,
                               hyp2f1_minus_one, hyp3f2, hyp_integral_rep)
+
+EPS = 2.0 ** -52
 
 
 def rel_err(got, want):
@@ -29,6 +31,17 @@ class TestGammaFamily:
 class TestHyp2f1:
     def test_at_zero_is_exactly_one(self):
         assert hyp2f1(0.3, -2.2, 1.7, 0.0).value == 1.0
+
+    @pytest.mark.parametrize("a, terminates", [(0.3, False), (-3.0, True),
+                                               (0.0, True)])
+    def test_zero_argument_sums_only_the_constant(self, a, terminates):
+        full = hyp2f1(a, -2.2, 1.7, 0.0)
+        tail = hyp2f1_minus_one(a, -2.2, 1.7, 0.0)
+        assert (full.value, full.terms_used) == (1.0, 1)
+        assert (tail.value, tail.terms_used) == (0.0, 0)
+        for res in (full, tail):
+            assert res.truncation_error_estimate == 0.0
+            assert res.terminated is terminates
 
     def test_terminating_example(self):
         res = hyp2f1(-1.0, -1.0, 0.5, 0.25)
@@ -65,8 +78,9 @@ class TestHyp2f1:
             hyp2f1(0.5, 0.5, -2.0, 0.5)
 
     def test_term_cap_raises(self):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as exc:
             hyp2f1(0.15, 0.1, 0.5, 1.0 - 1e-9)
+        assert exc.value.terms_used == MAX_TERMS + 1  # n = 0..MAX_TERMS
 
     @given(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5),
            st.floats(0.3, 4.0), st.floats(0.0, 0.9))
@@ -78,9 +92,27 @@ class TestHyp2f1:
     @given(st.integers(0, 12), st.floats(-2.5, 2.5), st.floats(0.3, 4.0),
            st.floats(0.0, 0.99))
     def test_termination_invariant(self, m, b, c, z):
-        res = hyp2f1(-float(m), b, c, z)
-        assert res.terms_used <= m + 1
-        assert res.truncation_error_estimate == 0.0 or z == 0.0
+        # A polynomial is summed exactly up to rounding: the error of F and
+        # of F - 1 is a few eps times sum |t_k|, the condition number
+        # times |S|, plus underflow, and no truncation is reported.
+        mpmath = pytest.importorskip("mpmath")
+        full = hyp2f1(-float(m), b, c, z)
+        tail = hyp2f1_minus_one(-float(m), b, c, z)
+        assert full.terms_used <= m + 1
+        assert tail.terms_used <= m
+        with mpmath.workdps(50):
+            b_, c_, z_ = mpmath.mpf(b), mpmath.mpf(c), mpmath.mpf(z)
+            term, terms = mpmath.mpf(1), []
+            for k in range(m):
+                term *= (k - m) * (b_ + k) / ((c_ + k) * (k + 1)) * z_
+                terms.append(term)
+            want = mpmath.fsum(terms)
+            scale = mpmath.fsum(abs(t) for t in terms)
+            for res, exact, size in ((full, 1 + want, 1 + scale),
+                                     (tail, want, scale)):
+                assert res.terminated
+                assert res.truncation_error_estimate == 0.0
+                assert abs(res.value - exact) <= 8 * EPS * size + 1e-300
 
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
            st.floats(0.5, 5.0), st.floats(0.0, 0.9))
@@ -261,3 +293,21 @@ class TestSeriesDiagnostics:
     def test_terms_used_counts_summed_terms(self):
         res = hyp2f1(-3.0, 1.1, 0.9, 0.5)
         assert res.terms_used == 4  # n = 0..3
+
+    @pytest.mark.parametrize("a, full_terms", [(-0.75, 1), (-1.0, 2)])
+    def test_minus_one_counts_from_its_first_term(self, a, full_terms):
+        # At z = 1e-20 the n = 1 term stops the sum of F unless the series
+        # is a polynomial (a = -1), but it is the first term of F - 1.
+        assert hyp2f1(a, -0.25, 0.5, 1e-20).terms_used == full_terms
+        assert hyp2f1_minus_one(a, -0.25, 0.5, 1e-20).terms_used == 1
+
+    def test_error_counts_its_partial_sum(self):
+        # the n = 1 term is 5e299, the n = 2 term overflows
+        a, c, z = 1e150, 1.0, 0.5
+        with pytest.raises(ConvergenceError) as full:
+            hyp2f1(a, a, c, z)
+        assert (full.value.partial_value, full.value.terms_used) == (1.0, 1)
+        with pytest.raises(ConvergenceError) as tail:
+            hyp2f1_minus_one(a, a, c, z)
+        assert tail.value.partial_value == z * a * a / c
+        assert tail.value.terms_used == 1

@@ -502,6 +502,13 @@ class TestCliVerify:
         assert code == 0
         assert "checked=2 " in err and "errored=1 " in err
 
+    @pytest.mark.parametrize("jobs", ["-3", "-1", "two"])
+    def test_bad_jobs_exits_two(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_bad_float_list(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--alpha1", "1,zebra"])
