@@ -3,8 +3,9 @@
 Everything here integrates or samples the Gaussian density directly and
 deliberately avoids the hypergeometric code paths it exists to validate.
 The only closed forms used are elementary Gamma integrals inside the
-tail-mass error bounds, where a mistake could at worst misstate an
-e^-30-scale error term, never a value.
+tail-mass error bounds (``moments.abs_moment_1d`` and a widened-Gaussian
+moment), where a mistake could at worst misstate an e^-30-scale error
+term, never a value.
 
 Quadrature uses adaptive Gauss-Kronrod panels (QUADPACK) after the
 per-axis substitution u = x^(1+alpha), which turns the integrable origin
@@ -25,6 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import AccuracyError, DomainError, InfiniteVarianceError
+from .moments import abs_moment_1d
 from .types import Estimate, MomentSpec
 
 _MASK64 = (1 << 64) - 1
@@ -70,13 +72,6 @@ def derive_seed(master_seed: int, index: int) -> int:
     return x
 
 
-def _centered_abs_moment(sigma: float, beta: float) -> float:
-    """E[|X|^beta] for X ~ N(0, sigma^2), used only inside tail bounds."""
-    return math.exp(0.5 * beta * math.log(2.0) + beta * math.log(sigma)
-                    + math.lgamma(0.5 * (beta + 1.0))
-                    - 0.5 * math.log(math.pi))
-
-
 def _tail_1d(sigma: float, beta: float, radius: float) -> float:
     """Upper bound on E[|X|^beta ; |X| > radius*sigma] for beta > -1."""
     if beta <= 0:
@@ -105,12 +100,12 @@ def _strip_bound(s_cut: float, a_cut: float, s_other: float, a_other: float,
     """
     s_cond = s_other * math.sqrt(1.0 - rho * rho)
     if a_other <= 0:
-        return (_centered_abs_moment(s_cond, a_other)
+        return (abs_moment_1d(s_cond, a_other)
                 * _tail_1d(s_cut, a_cut, radius))
     scale = 2.0 ** a_other
     mean_part = ((abs(rho) * s_other / s_cut) ** a_other
                  * _tail_1d(s_cut, a_cut + a_other, radius))
-    centered_part = (_centered_abs_moment(s_cond, a_other)
+    centered_part = (abs_moment_1d(s_cond, a_other)
                      * _tail_1d(s_cut, a_cut, radius))
     return scale * (mean_part + centered_part)
 
@@ -140,37 +135,6 @@ def _overflow_is_domain_error(fn):
             raise DomainError(f"{fn.__name__} overflows float64; "
                               "exponents are too large") from None
     return wrapper
-
-
-@_overflow_is_domain_error
-def quad_abs_moment_1d(sigma: float, alpha: float) -> Estimate:
-    """Quadrature estimate of E[|X|^alpha] for X ~ N(0, sigma^2), in the
-    substituted variable u = x^(1 + alpha)."""
-    if not sigma > 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if not alpha > -1:
-        raise DomainError(f"alpha must exceed -1, got {alpha}")
-    radius = TAIL_RADIUS_SIGMAS
-    norm = 2.0 / (math.sqrt(2.0 * math.pi) * sigma)
-    inv_var2 = 1.0 / (2.0 * sigma * sigma)
-    p = 1.0 + alpha
-    upper = (radius * sigma) ** p
-
-    def integrand(u: float) -> float:
-        x = u ** (1.0 / p)
-        return math.exp(-x * x * inv_var2) / p
-
-    breaks = [(k * sigma) ** p for k in _BREAK_SIGMAS]
-    raw, abserr, message = _run_quad(integrand, 0.0, upper, breaks,
-                                     epsabs=0.0, epsrel=TARGET_REL_ERR / 2,
-                                     limit=MAX_SUBDIVISIONS)
-    value = norm * raw
-    err = norm * abserr + _tail_1d(sigma, alpha, radius)
-    if message is not None or err > TARGET_REL_ERR * abs(value):
-        raise AccuracyError(
-            f"1-D moment quadrature missed its target: {message or 'error bound too large'}",
-            estimate=value, achieved_error=err)
-    return Estimate(value, err)
 
 
 @_overflow_is_domain_error

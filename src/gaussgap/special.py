@@ -5,13 +5,14 @@ loop (``_sum_pfq``) that evaluates blocks of terms with numpy.  A
 numerator parameter that is a non-positive integer -m makes the series a
 polynomial of degree m; the loop then runs in exact mode and stops at the
 first term that is exactly zero.  Any other series stops by a relative
-rule (next term below ``SERIES_EPS`` times the partial sum, and
-shrinking).  No connection formulas are used, so convergence near z = 1
-is genuinely slow: the closer z gets to 1 and the smaller the balance
-c - a - b, the more terms are needed.  Blocks keep even multi-million-term
-sums fast, but arguments too close to 1 still exhaust the term cap and
-raise ``ConvergenceError`` rather than silently returning a low-accuracy
-value.
+rule (next term at most ``SERIES_EPS`` times the partial sum, and
+shrinking), so a sum whose ``SERIES_EPS`` multiple underflows to 0 stops
+at its first underflowed term.  No connection formulas are used, so
+convergence near z = 1 is genuinely slow: the closer z gets to 1 and the
+smaller the balance c - a - b, the more terms are needed.  Blocks keep
+even multi-million-term sums fast, but arguments too close to 1 still
+exhaust the term cap and raise ``ConvergenceError`` rather than silently
+returning a low-accuracy value.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def _sum_pfq(nums, dens, z: float, *,
             stop = terms == 0.0
         else:
             size = np.abs(terms)
-            stop = ((size < SERIES_EPS * np.abs(s_all[:-1]))
+            stop = ((size <= SERIES_EPS * np.abs(s_all[:-1]))
                     & (size < np.abs(t_all[:-1])))
         hits = np.nonzero(stop)[0]
         if hits.size:

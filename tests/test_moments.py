@@ -1,6 +1,7 @@
 """Tests for the closed-form moments and the product-moment gap."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,21 @@ class TestGap:
         rho = 1e-8
         got = gap(MomentSpec(1, 1, 2, 2, rho))
         assert rel_err(got, 2 * rho * rho) < 1e-14
+
+    def test_subnormal_gap_stops_at_an_underflowed_term(self):
+        # z = rho^2 = 1e-310 is subnormal, so SERIES_EPS * |F - 1|
+        # underflows to 0; the sum must stop once a term underflows.
+        rho = 1e-155
+        t0 = time.perf_counter()
+        got = gap(MomentSpec(1, 1, 0.5, 0.5, rho))
+        elapsed = time.perf_counter() - t0
+        # leading term P * a1 a2 rho^2 / 2; the next is 1e-310 times smaller
+        want = prefactor(1.0, 1.0, 0.5, 0.5) * 0.125 * rho * rho
+        assert 0.0 < got < math.inf
+        assert rel_err(got, want) < 1e-9
+        assert elapsed < 1.0
+        assert special.hyp2f1_minus_one(-0.25, -0.25, 0.5,
+                                        rho * rho).terms_used <= 2
 
     @given(st.floats(-0.95, 0.95))
     @settings(max_examples=30)

@@ -5,46 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from gaussgap import moments, special
 from gaussgap.errors import DomainError, InfiniteVarianceError
 from gaussgap.moments import abs_moment_1d, product_moment
 from gaussgap.oracles import (McConfig, derive_seed, mc_product_moment,
-                              quad_abs_moment_1d, quad_product_moment,
-                              sample_bivariate)
+                              quad_product_moment, sample_bivariate)
 from gaussgap.types import MomentSpec
 
 
 def rel_err(got, want):
     return abs(got - want) / abs(want)
-
-
-class TestQuadAbsMoment1d:
-    def test_variance(self):
-        est = quad_abs_moment_1d(1.0, 2.0)
-        assert abs(est.value - 1.0) <= max(1e-9, 3 * est.error_estimate)
-
-    def test_half_normal_mean(self):
-        est = quad_abs_moment_1d(1.0, 1.0)
-        assert rel_err(est.value, math.sqrt(2 / math.pi)) < 1e-9
-
-    def test_singular_exponent_matches_closed_form(self):
-        est = quad_abs_moment_1d(1.0, -0.9)
-        assert rel_err(est.value, abs_moment_1d(1.0, -0.9)) < 1e-6
-        assert rel_err(est.value, 8.0413584219659848) < 1e-6
-
-    def test_scales(self):
-        est = quad_abs_moment_1d(2.0, 3.0)
-        assert rel_err(est.value, abs_moment_1d(2.0, 3.0)) < 1e-8
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            quad_abs_moment_1d(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            quad_abs_moment_1d(1.0, -1.0)
-
-    def test_overflow_is_domain_error(self):
-        # the upper limit (12 * sigma)^(1 + alpha) leaves the float range
-        with pytest.raises(DomainError, match="overflows"):
-            quad_abs_moment_1d(1.0, 300.0)
 
 
 class TestQuadProductMoment:
@@ -60,8 +30,7 @@ class TestQuadProductMoment:
     def test_independent_case_factorizes(self):
         spec = MomentSpec(0.7, 1.9, 1.3, -0.4, 0.0)
         est = quad_product_moment(spec)
-        split = (quad_abs_moment_1d(0.7, 1.3).value
-                 * quad_abs_moment_1d(1.9, -0.4).value)
+        split = abs_moment_1d(0.7, 1.3) * abs_moment_1d(1.9, -0.4)
         assert rel_err(est.value, split) < 1e-8
 
     def test_symmetric_in_rho_sign(self):
@@ -183,3 +152,27 @@ class TestDeriveSeed:
 
     def test_master_seed_matters(self):
         assert derive_seed(1, 0) != derive_seed(2, 0)
+
+
+class TestOraclesAvoidTheSeries:
+    """The oracles must never enter the series kernel they validate."""
+
+    @pytest.mark.parametrize("spec", [
+        MomentSpec(1, 1, 1, 1.5, 0.5),        # same-sign exponents
+        MomentSpec(0.7, 1.9, -0.4, 1.3, -0.6),  # opposite-sign exponents
+        MomentSpec(2, 0.5, -0.3, -0.2, 0.8),  # negative exponents
+    ])
+    def test_no_series_sum(self, monkeypatch, spec):
+        want = product_moment(spec).value
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oracle entered special._sum_pfq")
+
+        monkeypatch.setattr(special, "_sum_pfq", refuse)
+        # a cached factor would hide a call into the series
+        moments.correlation_factor.cache_clear()
+        quad_est = quad_product_moment(spec)
+        mc_est = mc_product_moment(spec, McConfig(10 ** 4, 7))
+        assert abs(quad_est.value - want) <= max(1e-8 * want,
+                                                 3 * quad_est.error_estimate)
+        assert abs(mc_est.value - want) < 5 * mc_est.error_estimate
