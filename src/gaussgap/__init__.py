@@ -1,6 +1,6 @@
 """Bivariate Gaussian absolute product moments, gap bounds, and verification."""
 
-from .bounds import (BoundCase, BoundReport, GapBound, check_point, gap_bound,
+from .bounds import (BoundReport, GapBound, check_point, gap_bound,
                      pair_bound_int_int, pair_bound_int_one, pair_bound_small)
 from .errors import (AccuracyError, ConvergenceError, DomainError,
                      GaussGapError, InfiniteVarianceError,

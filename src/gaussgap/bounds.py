@@ -4,9 +4,9 @@ Both results say the gap lies in an explicit interval, a ``GapBound``
 from ``gap_bound``; the signs of the exponents pick its shape:
 
 * same sign (both in (-1, 0) or both positive): ``[f, +inf)`` with ``f``
-  a nonnegative Gamma closed form.  The closed form has two branches;
-  the second applies when exactly one exponent exceeds 2 while the other
-  sits strictly inside (0, 2).
+  a nonnegative Gamma closed form with two branches, tagged "SameSignMain"
+  and "MixedMagnitude"; the second applies when exactly one exponent
+  exceeds 2 while the other sits strictly inside (0, 2).
 * opposite signs: the gap is negative and sandwiched by a two-sided
   envelope whose ends share a common negative coefficient, one end
   scaled by a hypergeometric value G(1) at z = 1.  When G(1) diverges
@@ -19,10 +19,8 @@ behave sensibly across many orders of magnitude.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import moments, special
@@ -36,26 +34,19 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_4_SQRT_PI = math.log(4.0) + 0.5 * math.log(math.pi)
 
 
-class BoundCase(enum.Enum):
-    """Which branch of the same-sign closed form applied."""
-
-    SAME_SIGN_MAIN = "SameSignMain"
-    MIXED_MAGNITUDE = "MixedMagnitude"
-
-
 class GapBound(NamedTuple):
     """The interval ``[lower, upper]`` that holds the gap at one point.
 
     ``upper`` is +inf for same-sign exponents and ``lower`` is -inf only
     where G(1) diverges.  ``case_tag`` names the branch of the same-sign
-    closed form and is None for opposite signs.  ``swapped`` records that
-    opposite-sign inputs arrived as (positive, negative) and were
-    normalized to the canonical (negative, positive) orientation.
+    closed form, "SameSignMain" or "MixedMagnitude", None for opposite
+    signs.  ``swapped`` records that opposite-sign inputs arrived as
+    (positive, negative) and were normalized to (negative, positive).
     """
 
     lower: float
     upper: float
-    case_tag: BoundCase | None = None
+    case_tag: str | None = None
     swapped: bool = False
 
     @property
@@ -63,8 +54,7 @@ class GapBound(NamedTuple):
         return self.lower > -math.inf
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of checking one parameter point against its bounds."""
 
     gap: float
@@ -81,14 +71,14 @@ def _mixed_magnitude(a1: float, a2: float) -> bool:
 
 @functools.lru_cache(maxsize=4096)
 def _rho_free_factors(sigma1: float, sigma2: float, a1: float, a2: float
-                      ) -> tuple[float, BoundCase | None, float | None, bool]:
-    """The rho-free part of ``gap_bound``: (scale, case, G(1), swapped).
+                      ) -> tuple[float, str | None, float | None, bool]:
+    """The rho-free part of ``gap_bound``: (scale, case tag, G(1), swapped).
 
     The regime is decided here, once per key.  Same sign: the scale of
-    the Gamma closed form and its branch, no G(1).  Opposite signs, in
-    the canonical orientation: the scale of the envelope coefficient, no
-    case, and G(1) = F(1 - a1/2, 1 - a2/2; 3/2; 1), or None where it
-    diverges.  The envelope scale sums its logs in one pass, the main
+    the Gamma closed form and the tag of its branch, no G(1).  Opposite
+    signs, in the canonical orientation: the scale of the envelope
+    coefficient, no tag, and G(1) = F(1 - a1/2, 1 - a2/2; 3/2; 1), or None
+    where it diverges.  The envelope scale sums its logs in one pass, the main
     branch groups the Gamma terms: they may differ in the last bit.
     """
     swapped = a2 < 0 < a1
@@ -106,10 +96,10 @@ def _rho_free_factors(sigma1: float, sigma2: float, a1: float, a2: float
         return (special.exp_of_log(log_scale + lg1 + lg2 - _LOG_2PI), None,
                 g_at_one, swapped)
     if _mixed_magnitude(a1, a2):
-        case = BoundCase.MIXED_MAGNITUDE
+        case = "MixedMagnitude"
         log_scale += math.lgamma(0.5 * (a1 + a2 - 1.0)) - _LOG_4_SQRT_PI
     else:
-        case = BoundCase.SAME_SIGN_MAIN
+        case = "SameSignMain"
         log_scale += lg1 + lg2 - _LOG_2PI
     return special.exp_of_log(log_scale), case, None, False
 

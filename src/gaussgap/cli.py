@@ -69,7 +69,11 @@ def _nonneg_int(text: str) -> int:
 def _output(path: str | None):
     if path is None:
         return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DomainError(f"cannot open --output {path!r}: "
+                          f"{exc.strerror}") from None
 
 
 def _write_csv(path: str | None, rows: list[ReportRow],

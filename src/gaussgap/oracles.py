@@ -52,10 +52,14 @@ class McConfig:
         if self.n_samples < MIN_MC_SAMPLES:
             raise DomainError(f"n_samples must be at least {MIN_MC_SAMPLES}, "
                               f"got {self.n_samples}")
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, numbers.Integral)
-                or not 0 <= self.seed <= _MASK64):
-            raise DomainError("seed must be a 64-bit unsigned integer")
+        check_seed(self.seed)
+
+
+def check_seed(seed: int) -> None:
+    """Raise ``DomainError`` unless ``seed`` is an integer in [0, 2^64)."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= seed <= _MASK64):
+        raise DomainError("seed must be a 64-bit unsigned integer")
 
 
 def derive_seed(master_seed: int, index: int) -> int:

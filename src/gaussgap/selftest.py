@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds, moments, special
+from . import bounds, moments, oracles, special
 from .types import MomentSpec
 from .verify import DEFAULT_ALPHAS, DEFAULT_RHOS, DEFAULT_SEED, DEFAULT_SIGMAS
 
@@ -167,6 +167,7 @@ def bound_consistency_suite() -> SuiteResult:
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[SuiteResult]:
+    oracles.check_seed(seed)
     return [
         euler_transform_suite(seed),
         gauss_summation_suite(seed),

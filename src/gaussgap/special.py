@@ -12,13 +12,13 @@ convergence near z = 1 is genuinely slow: the closer z gets to 1 and the
 smaller the balance c - a - b, the more terms are needed.  Blocks keep
 even multi-million-term sums fast, but arguments too close to 1 still
 exhaust the term cap and raise ``ConvergenceError`` rather than silently
-returning a low-accuracy value.
+returning a low-accuracy value; an overflowing term raises ``DomainError``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -36,8 +36,7 @@ _BLOCK_START = 64
 _BLOCK_MAX = 65536
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     """Outcome of one series summation.
 
     ``terminated`` is True when the series is a polynomial (a numerator
@@ -143,9 +142,8 @@ def _sum_pfq(nums, dens, z: float, *,
             return SeriesResult(float(s_all[j]), n_next + j - first, tail,
                                 exact)
         if not (math.isfinite(float(terms[-1])) and math.isfinite(float(sums[-1]))):
-            raise ConvergenceError(
-                "series summation produced a non-finite term",
-                partial_value=float(total), terms_used=n_next - first)
+            raise DomainError("series term or partial sum overflows float64; "
+                              "exponents are too large")
         term = float(terms[-1])
         total = float(sums[-1])
         n_next = hi

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -36,8 +37,7 @@ class MomentSpec:
             raise DomainError(f"correlation must lie in [-1, 1], got {self.rho}")
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """A moment value plus a one-sided error bound or standard error."""
 
     value: float

@@ -168,8 +168,8 @@ def evaluate_point(spec: MomentSpec, index: int,
     bound = report.bound
     case_tag = bound_lower = bound_upper = finite_lower = None
     if bound is not None:
-        case_tag = bound.case_tag.value if bound.case_tag else None
-        bound_lower, finite_lower = bound.lower, bound.finite_lower
+        case_tag, bound_lower = bound.case_tag, bound.lower
+        finite_lower = bound.finite_lower
         if bound.upper < math.inf:
             bound_upper = bound.upper
         if bound.swapped:

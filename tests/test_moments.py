@@ -273,6 +273,14 @@ class TestOverflow:
         with pytest.raises(DomainError, match="overflows"):
             fn(MomentSpec(1, 1, alpha, alpha, 0.9))
 
+    @pytest.mark.parametrize("fn", [gap, product_moment])
+    @pytest.mark.parametrize("rho", [0.9, 1.0])
+    def test_small_scales_overflow_in_the_series(self, fn, rho):
+        # P is finite at scales 1e-3; a term of F (rho = 0.9) or its
+        # Gamma ratio (rho = 1) overflows, an argument error either way
+        with pytest.raises(DomainError, match="overflows"):
+            fn(MomentSpec(1e-3, 1e-3, 1501.0, 1501.0, rho))
+
 
 class TestCorrelationFactor:
     def test_values_are_the_series(self):

@@ -304,10 +304,7 @@ class TestSeriesDiagnostics:
     def test_error_counts_its_partial_sum(self):
         # the n = 1 term is 5e299, the n = 2 term overflows
         a, c, z = 1e150, 1.0, 0.5
-        with pytest.raises(ConvergenceError) as full:
+        with pytest.raises(DomainError, match="overflows float64"):
             hyp2f1(a, a, c, z)
-        assert (full.value.partial_value, full.value.terms_used) == (1.0, 1)
-        with pytest.raises(ConvergenceError) as tail:
+        with pytest.raises(DomainError, match="overflows float64"):
             hyp2f1_minus_one(a, a, c, z)
-        assert tail.value.partial_value == z * a * a / c
-        assert tail.value.terms_used == 1

@@ -432,6 +432,17 @@ class TestCliGap:
                    for f in record["flags"])
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("rho", ["0.9", "1"])
+    def test_series_overflow_exits_two(self, rho, capsys):
+        code, out, err = run_cli(["gap", "--alpha1", "1501", "--alpha2",
+                                  "1501", "--sigma1", "1e-3", "--sigma2",
+                                  "1e-3", "--rho", rho], capsys)
+        assert code == 2
+        record = json.loads(out.splitlines()[-1])
+        assert all(f.startswith("error:DomainError:")
+                   for f in record["flags"])
+        assert "Traceback" not in err
+
     def test_vacuous_flagged(self, capsys):
         code, out, _ = run_cli(["gap", "--alpha1", "-0.5", "--alpha2", "1",
                                 "--rho", "0.5"], capsys)
@@ -551,6 +562,18 @@ class TestCliVerify:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--alpha1=1", "--alpha2=1", "--rho=0.5", "--jobs=1"],
+    ["curve", "--alpha1=1", "--alpha2=1", "--rho-count=3"]])
+def test_unopenable_output_exits_two(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    code, out, err = run_cli([*argv, "--output", str(missing / "x")], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
+    assert not missing.exists()
+
+
 def _series_fail_from(monkeypatch, z_min):
     """Both series raise ConvergenceError at z >= z_min."""
     for name in ("hyp2f1", "hyp2f1_minus_one"):
@@ -659,6 +682,13 @@ class TestCliSelftest:
             "euler-transform", "gauss-summation", "derivative",
             "gap-dual-path", "bound-consistency"}
         assert all(entry["failed"] == 0 for entry in payload)
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_out_of_range_seed_exits_two(self, seed, capsys):
+        code, out, err = run_cli(["selftest", f"--seed={seed}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
 
     def test_injected_fault_detected(self, capsys, monkeypatch):
         # negative control: a tiny multiplicative fault in one identity
