@@ -76,12 +76,11 @@ def _output(path: str | None):
                           f"{exc.strerror}") from None
 
 
-def _write_csv(path: str | None, rows: list[ReportRow],
+def _write_csv(stream, rows: list[ReportRow],
                columns: tuple[str, ...]) -> None:
-    with _output(path) as stream:
-        stream.write(",".join(columns) + "\n")
-        for row in rows:
-            stream.write(",".join(row_to_csv_fields(row, columns)) + "\n")
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        stream.write(",".join(row_to_csv_fields(row, columns)) + "\n")
 
 
 def _exit_code(rows: list[ReportRow]) -> int:
@@ -142,12 +141,14 @@ def cmd_verify(args) -> int:
         sigma2_values=args.sigma2, oracle=OracleChoice(args.oracle),
         mc_samples=args.mc_samples, master_seed=args.seed)
     jobs = args.jobs or os.cpu_count() or 1
-    rows, summary = run_sweep(config, jobs)
-
-    if args.format == "csv":
-        _write_csv(args.output, rows, CSV_COLUMNS)
-    else:
-        with _output(args.output) as stream:
+    # Building the grid checks every point, so invalid arguments exit
+    # before --output is created and an unopenable one before the sweep.
+    grid = config.grid()
+    with _output(args.output) as stream:
+        rows, summary = run_sweep(config, jobs, grid)
+        if args.format == "csv":
+            _write_csv(stream, rows, CSV_COLUMNS)
+        else:
             for row in rows:
                 stream.write(_json_line(row_to_dict(row)) + "\n")
 
@@ -167,8 +168,10 @@ def cmd_curve(args) -> int:
         alpha1_values=(args.alpha1,), alpha2_values=(args.alpha2,),
         rho_values=tuple(0.99 * i / (count - 1) for i in range(count)),
         sigma1_values=(args.sigma1,), sigma2_values=(args.sigma2,))
-    rows, _ = run_sweep(config)
-    _write_csv(args.output, rows, ("rho", "gap", "bound_lower", "bound_upper"))
+    grid = config.grid()
+    with _output(args.output) as stream:
+        rows, _ = run_sweep(config, grid=grid)
+        _write_csv(stream, rows, ("rho", "gap", "bound_lower", "bound_upper"))
     return _exit_code(rows)
 
 

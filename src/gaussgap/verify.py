@@ -213,9 +213,12 @@ def evaluate_point(spec: MomentSpec, index: int,
     )
 
 
-def run_sweep(config: SweepConfig, jobs: int = 1) -> tuple[list[ReportRow], dict]:
+def run_sweep(config: SweepConfig, jobs: int = 1,
+              grid: list[MomentSpec] | None = None
+              ) -> tuple[list[ReportRow], dict]:
     """Evaluate the whole grid; rows come back in grid order regardless of
-    execution order or worker count.
+    execution order or worker count.  ``grid`` is ``config.grid()``, for
+    a caller that has built it already.
 
     One argument list over the grid, mapped by a process pool of
     ``min(jobs, len(grid), os.cpu_count())`` workers when that exceeds 1
@@ -223,7 +226,8 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> tuple[list[ReportRow], dict
     of its workers cannot be started (``OSError``), one notice goes to
     stderr and the grid runs serially.
     """
-    grid = config.grid()
+    if grid is None:
+        grid = config.grid()
     # A list, a range and endless repeats: the serial map can walk them
     # again after a pool failed part way.
     points = (grid, range(len(grid)), repeat(config.oracle),

@@ -1,11 +1,13 @@
 """Tests for the double factorial and the hypergeometric evaluators."""
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gaussgap import special
 from gaussgap.errors import ConvergenceError, DomainError, SeriesDivergenceError
 from gaussgap.special import (MAX_TERMS, double_factorial, euler_transform,
                               hyp2f1, hyp2f1_at_one, hyp2f1_derivative,
@@ -308,3 +310,115 @@ class TestSeriesDiagnostics:
             hyp2f1(a, a, c, z)
         with pytest.raises(DomainError, match="overflows float64"):
             hyp2f1_minus_one(a, a, c, z)
+
+
+def _reference_sum(nums, dens, z, skip_first=False):
+    """The block recurrence of ``special._sum_pfq`` read term by term in
+    plain floats: blocks of ``_BLOCK_START`` terms doubling to
+    ``_BLOCK_MAX``, ratio z (p0 + k) (p1 + k) ... / (q0 + k) / ... / n,
+    t = term * cumprod(ratio), S = total + cumsum(t) within a block, and
+    the stop rule against the term and partial sum before each term."""
+    exact = any(p <= 0 and float(p).is_integer() for p in nums)
+    first = 1 if skip_first else 0
+    if skip_first:
+        term = z
+        for p in nums:
+            term *= p
+        for q in dens:
+            term /= q
+        if term == 0.0:
+            return special.SeriesResult(0.0, 0, 0.0, exact)
+        total, n = term, 2
+    else:
+        term = total = 1.0
+        n = 1
+    block = special._BLOCK_START
+    while n <= special.MAX_TERMS:
+        m = min(block, special.MAX_TERMS + 1 - n)
+        t_prev, s_prev = term, total
+        for i in range(m):
+            k = float(n + i - 1)
+            ratio = z * (nums[0] + k)
+            for p in nums[1:]:
+                ratio *= p + k
+            for q in dens:
+                ratio /= q + k
+            ratio /= k + 1.0
+            prod = ratio if i == 0 else prod * ratio
+            t = term * prod
+            csum = t if i == 0 else csum + t
+            s = total + csum
+            if exact:
+                stop = t == 0.0
+            else:
+                stop = (abs(t) <= special.SERIES_EPS * abs(s_prev)
+                        and abs(t) < abs(t_prev))
+            if stop:
+                tail = 0.0 if exact else abs(t) / (1.0 - abs(t) / abs(t_prev))
+                return special.SeriesResult(s_prev, n + i - first, tail, exact)
+            t_prev, s_prev = t, s
+        if not (math.isfinite(t_prev) and math.isfinite(s_prev)):
+            raise DomainError("series term or partial sum overflows float64; "
+                              "exponents are too large")
+        term, total = t_prev, s_prev
+        n += m
+        block = min(2 * block, special._BLOCK_MAX)
+    raise ConvergenceError(
+        f"series did not meet the stopping criterion within "
+        f"{special.MAX_TERMS} terms (z = {z} too close to 1)",
+        partial_value=total, terms_used=n - first)
+
+
+def _outcome(fn, *args, **kwargs):
+    """repr of a result, or of an error with its partial sum and count,
+    so that -0.0, nan and every last bit count."""
+    try:
+        return repr(tuple(fn(*args, **kwargs)))
+    except (ConvergenceError, DomainError) as exc:
+        return repr((type(exc).__name__, str(exc),
+                     getattr(exc, "partial_value", None),
+                     getattr(exc, "terms_used", None)))
+
+
+class TestBlockKernelBitForBit:
+    """``_sum_pfq`` against the scalar block recurrence, bit for bit, with
+    small blocks and a small term cap so that long sums, steady blocks
+    and the cap take milliseconds."""
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(special, "_BLOCK_MAX", 256)
+        monkeypatch.setattr(special, "MAX_TERMS", 5000)
+
+    @pytest.mark.parametrize("nums, dens, z", [
+        ((-0.075, -0.05), (0.5,), 0.999),         # slow: runs into the cap
+        ((0.25, 0.5), (0.5,), 0.99),              # stops in a steady block
+        ((-0.5, -0.25), (0.5,), 0.995),
+        ((-600.0, 0.45), (0.5,), 0.9),            # exact, into a steady block
+        ((-7.0, 1.25), (0.5,), 0.5),              # exact, first block
+        ((0.3, 0.8, 1.2), (1.4, 2.1), 0.993),     # 3F2
+        ((-0.75, -0.25), (0.5,), 1e-20),          # stops at once
+        ((-0.25, -0.75), (0.5,), 5e-324),         # subnormal z
+        ((1e150, 1e150), (1.0,), 0.5),            # overflows
+        ((300.5, 300.5), (0.5,), 0.97),           # overflows in a later block
+    ])
+    @pytest.mark.parametrize("skip_first", [False, True])
+    def test_cases(self, nums, dens, z, skip_first):
+        assert (_outcome(special._sum_pfq, nums, dens, z,
+                         skip_first=skip_first)
+                == _outcome(_reference_sum, nums, dens, z, skip_first))
+
+    def test_random_sums(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            a = rng.choice([rng.uniform(-3, 10), -float(rng.randint(0, 800))])
+            nums = [a, rng.uniform(-3, 10)]
+            dens = [rng.uniform(0.1, 4)]
+            if rng.random() < 0.25:
+                nums.append(rng.uniform(-2, 4))
+                dens.append(rng.uniform(0.1, 4))
+            z = rng.choice([rng.random(), 1 - 10 ** rng.uniform(-6, -1)])
+            skip_first = rng.random() < 0.5
+            assert (_outcome(special._sum_pfq, nums, dens, z,
+                             skip_first=skip_first)
+                    == _outcome(_reference_sum, nums, dens, z, skip_first))

@@ -574,6 +574,34 @@ def test_unopenable_output_exits_two(argv, tmp_path, capsys):
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--jobs=1"],
+    ["curve", "--alpha1=1", "--alpha2=1", "--rho-count=3"]])
+def test_unopenable_output_exits_before_the_sweep(argv, monkeypatch, capsys):
+    calls = []
+    evaluate = verify.evaluate_point
+    monkeypatch.setattr(verify, "evaluate_point",
+                        lambda *args: calls.append(args) or evaluate(*args))
+    code, _, err = run_cli([*argv, "--output", "/nonexistent/x.jsonl"],
+                           capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "DomainError"
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--alpha1=-3", "--jobs=1"],
+    ["verify", "--rho=1.5", "--jobs=1"],
+    ["curve", "--alpha1=1", "--alpha2=1", "--rho-count=1"],
+    ["curve", "--alpha1=1", "--alpha2=1", "--sigma1=0"]])
+def test_invalid_arguments_create_no_output(argv, tmp_path, capsys):
+    out_file = tmp_path / "x"
+    code, _, err = run_cli([*argv, "--output", str(out_file)], capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "DomainError"
+    assert not out_file.exists()
+
+
 def _series_fail_from(monkeypatch, z_min):
     """Both series raise ConvergenceError at z >= z_min."""
     for name in ("hyp2f1", "hyp2f1_minus_one"):
