@@ -19,7 +19,6 @@ behave sensibly across many orders of magnitude.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -69,18 +68,23 @@ def _mixed_magnitude(a1: float, a2: float) -> bool:
     return (a1 > 2 and 0 < a2 < 2) or (a2 > 2 and 0 < a1 < 2)
 
 
-@functools.lru_cache(maxsize=4096)
-def _rho_free_factors(sigma1: float, sigma2: float, a1: float, a2: float
-                      ) -> tuple[float, str | None, float | None, bool]:
-    """The rho-free part of ``gap_bound``: (scale, case tag, G(1), swapped).
+def bound_factors(spec: MomentSpec
+                  ) -> tuple[float, str | None, float | None, bool] | None:
+    """The rho-free part of ``gap_bound``: (scale, case tag, G(1), swapped),
+    a function of (sigma1, sigma2, alpha1, alpha2) alone.
 
-    The regime is decided here, once per key.  Same sign: the scale of
-    the Gamma closed form and the tag of its branch, no G(1).  Opposite
-    signs, in the canonical orientation: the scale of the envelope
-    coefficient, no tag, and G(1) = F(1 - a1/2, 1 - a2/2; 3/2; 1), or None
-    where it diverges.  The envelope scale sums its logs in one pass, the main
-    branch groups the Gamma terms: they may differ in the last bit.
+    The regime is decided here.  A zero exponent leaves no gap to bound:
+    None.  Same sign: the scale of the Gamma closed form and the tag of
+    its branch, no G(1).  Opposite signs, in the canonical orientation:
+    the scale of the envelope coefficient, no tag, and
+    G(1) = F(1 - a1/2, 1 - a2/2; 3/2; 1), or None where it diverges.  The
+    envelope scale sums its logs in one pass, the main branch groups the
+    Gamma terms: they may differ in the last bit.  Raises ``DomainError``
+    where the scale or G(1) overflows float64.
     """
+    sigma1, sigma2, a1, a2 = spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2
+    if a1 == 0.0 or a2 == 0.0:
+        return None
     swapped = a2 < 0 < a1
     if swapped:
         sigma1, sigma2, a1, a2 = sigma2, sigma1, a2, a1
@@ -104,21 +108,10 @@ def _rho_free_factors(sigma1: float, sigma2: float, a1: float, a2: float
     return special.exp_of_log(log_scale), case, None, False
 
 
-def gap_bound(spec: MomentSpec) -> GapBound:
-    """The explicit interval that holds the gap, for nonzero exponents.
-
-    Same sign: ``[f, +inf)`` with ``f >= 0``, zero exactly when rho = 0.
-    The boundary pair (one exponent equal to 2, the other above 2) takes
-    the main branch, where the bound is in fact attained with equality.
-    Opposite signs: the two-sided envelope, ``lower`` -inf where G(1)
-    diverges.  Raises ``DomainError`` where an end overflows float64.
-    """
+def _interval(factors, spec: MomentSpec) -> GapBound:
+    """The interval of ``gap_bound`` from the point's ``bound_factors``."""
+    scale, case, g_at_one, swapped = factors
     a1, a2 = spec.alpha1, spec.alpha2
-    if a1 == 0.0 or a2 == 0.0:
-        raise DomainError(f"a zero exponent leaves no gap to bound, got "
-                          f"({a1}, {a2})")
-    scale, case, g_at_one, swapped = _rho_free_factors(
-        spec.sigma1, spec.sigma2, a1, a2)
     # a1 a2 rho^2 times the scale: the same-sign lower end, and the
     # envelope's shared coefficient (negative for rho != 0).
     coeff = _finite_bound(a1 * a2 * spec.rho * spec.rho * scale + 0.0,
@@ -133,6 +126,22 @@ def gap_bound(spec: MomentSpec) -> GapBound:
     if max(a1, a2) <= 2.0:
         return GapBound(far, coeff, None, swapped)
     return GapBound(coeff, min(far, 0.0), None, swapped)
+
+
+def gap_bound(spec: MomentSpec) -> GapBound:
+    """The explicit interval that holds the gap, for nonzero exponents.
+
+    Same sign: ``[f, +inf)`` with ``f >= 0``, zero exactly when rho = 0.
+    The boundary pair (one exponent equal to 2, the other above 2) takes
+    the main branch, where the bound is in fact attained with equality.
+    Opposite signs: the two-sided envelope, ``lower`` -inf where G(1)
+    diverges.  Raises ``DomainError`` where an end overflows float64.
+    """
+    factors = bound_factors(spec)
+    if factors is None:
+        raise DomainError(f"a zero exponent leaves no gap to bound, got "
+                          f"({spec.alpha1}, {spec.alpha2})")
+    return _interval(factors, spec)
 
 
 def _finite_bound(value: float, exponents: tuple[float, float]) -> float:
@@ -198,28 +207,32 @@ def pair_bound_int_int(m: int, n: int, sigma1: float, sigma2: float,
     return _finite_bound(value, (m, n))
 
 
-def _error_report(g: float, exc: GaussGapError) -> BoundReport:
-    return BoundReport(g, "error", None, False, math.nan,
-                       (f"error:{type(exc).__name__}:{exc}",))
+def error_flag(exc: GaussGapError) -> str:
+    """The ``error:<Type>:<message>`` flag of a report row."""
+    return f"error:{type(exc).__name__}:{exc}"
 
 
-def check_point(spec: MomentSpec) -> BoundReport:
-    """Test the gap against its ``gap_bound`` interval at one point.
+def error_report(g: float, exc: GaussGapError) -> BoundReport:
+    """The failed-with-reason report of a point whose check raised ``exc``."""
+    return BoundReport(g, "error", None, False, math.nan, (error_flag(exc),))
 
-    Computation errors become a failed-with-reason report instead of an
-    exception so grid sweeps can keep going.
+
+def check_gap(g: float, spec: MomentSpec, factors) -> BoundReport:
+    """Test the gap ``g`` at ``spec`` against its ``gap_bound`` interval,
+    built from ``factors``: the point's ``bound_factors``, or the
+    ``GaussGapError`` computing them raised.
+
+    The one bound test, behind ``check_point`` and the sweep's rows.
     """
-    try:
-        g = moments.gap(spec)
-    except GaussGapError as exc:
-        return _error_report(math.nan, exc)
-    if spec.alpha1 == 0.0 or spec.alpha2 == 0.0:
+    if factors is None:
         # |X|^0 = 1 makes the two sides coincide; nothing to bound.
         return BoundReport(g, "trivial", None, True, 0.0, ())
+    if isinstance(factors, GaussGapError):
+        return error_report(g, factors)
     try:
-        bound = gap_bound(spec)
+        bound = _interval(factors, spec)
     except GaussGapError as exc:
-        return _error_report(g, exc)
+        return error_report(g, exc)
 
     regime = "same-sign" if bound.upper == math.inf else "opposite-sign"
     if math.isinf(g):
@@ -231,3 +244,21 @@ def check_point(spec: MomentSpec) -> BoundReport:
                        bound.lower - tol <= g <= bound.upper + tol,
                        min(bound.upper - g, g - bound.lower),
                        () if bound.finite_lower else ("vacuous-lower",))
+
+
+def check_point(spec: MomentSpec) -> BoundReport:
+    """Test the gap against its ``gap_bound`` interval at one point.
+
+    Computation errors become a failed-with-reason report instead of an
+    exception so grid sweeps can keep going.  The gap is computed first,
+    so its error comes before the bound's.
+    """
+    try:
+        g = moments.gap(spec)
+    except GaussGapError as exc:
+        return error_report(math.nan, exc)
+    try:
+        factors = bound_factors(spec)
+    except GaussGapError as exc:
+        factors = exc
+    return check_gap(g, spec, factors)

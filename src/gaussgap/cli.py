@@ -25,8 +25,8 @@ import sys
 from . import moments, oracles, selftest, verify
 from .errors import DomainError, GaussGapError, InfiniteVarianceError
 from .types import MomentSpec
-from .verify import (CSV_COLUMNS, OracleChoice, ReportRow, SweepConfig,
-                     row_to_csv_fields, row_to_dict, run_sweep)
+from .verify import (CSV_COLUMNS, OracleChoice, ReportRow, RowWriter,
+                     SweepConfig, run_sweep)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -41,11 +41,8 @@ def _emit_error(exc: Exception) -> None:
     print(json.dumps(obj), file=sys.stderr)
 
 
-_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
-
-
 def _json_line(obj) -> str:
-    return _JSON_ENCODER.encode(obj)
+    return verify._JSON_ENCODER.encode(obj)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -74,13 +71,6 @@ def _output(path: str | None):
     except OSError as exc:
         raise DomainError(f"cannot open --output {path!r}: "
                           f"{exc.strerror}") from None
-
-
-def _write_csv(stream, rows: list[ReportRow],
-               columns: tuple[str, ...]) -> None:
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(row_to_csv_fields(row, columns)) + "\n")
 
 
 def _exit_code(rows: list[ReportRow]) -> int:
@@ -130,7 +120,7 @@ def cmd_gap(args) -> int:
     print(f"slack      = {row.slack:.10g}")
     print(f"satisfied  = {str(row.satisfied).lower()}"
           + (f"  flags={','.join(row.flags)}" if row.flags else ""))
-    print(_json_line(row_to_dict(row)))
+    RowWriter(sys.stdout).write(row)
     return _exit_code([row])
 
 
@@ -146,11 +136,9 @@ def cmd_verify(args) -> int:
     grid = config.grid()
     with _output(args.output) as stream:
         rows, summary = run_sweep(config, jobs, grid)
-        if args.format == "csv":
-            _write_csv(stream, rows, CSV_COLUMNS)
-        else:
-            for row in rows:
-                stream.write(_json_line(row_to_dict(row)) + "\n")
+        writer = RowWriter(stream, args.format)
+        for row in rows:
+            writer.write(row)
 
     summary_line = ("checked={checked} satisfied={satisfied} "
                     "violations={violations} vacuous_lower={vacuous_lower} "
@@ -171,7 +159,10 @@ def cmd_curve(args) -> int:
     grid = config.grid()
     with _output(args.output) as stream:
         rows, _ = run_sweep(config, grid=grid)
-        _write_csv(stream, rows, ("rho", "gap", "bound_lower", "bound_upper"))
+        writer = RowWriter(stream, "csv",
+                           ("rho", "gap", "bound_lower", "bound_upper"))
+        for row in rows:
+            writer.write(row)
     return _exit_code(rows)
 
 

@@ -15,11 +15,13 @@ product for an even-integer exponent), or +inf when a1 + a2 <= -1.  The
 marginal moments, P * (F - 1), with F - 1 summed directly from its first
 term, never as a difference of two large moments.
 
-Sigma enters only through the prefactor P and rho only through rho^2, so
-F is computed once per (alpha1, alpha2, rho^2) per process
-(``correlation_factor``) and reused across scales and correlation signs,
-and P is computed once per (sigma1, sigma2, alpha1, alpha2)
-(``prefactor``) and reused across correlations.
+Sigma enters only through the prefactor P (``product_of_marginals``)
+and rho only through rho^2 (``series_factor``).  These functions compute
+both afresh at every call; a sweep keys them, P by (sigma1, sigma2,
+alpha1, alpha2) and F by (alpha1, alpha2, rho^2), in a table that lives
+as long as the sweep (``verify.KeyTable``), and composes them with
+``moment_from`` and ``gap_from``, the same compositions
+``product_moment`` and ``gap`` use.
 
 Prefactors are assembled in log space so large exponents (alpha ~ 50)
 survive without overflow; beyond float range they raise ``DomainError``,
@@ -28,7 +30,6 @@ before F is summed.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from . import special
@@ -38,21 +39,15 @@ from .types import Estimate, MomentSpec
 _LOG_PI = math.log(math.pi)
 
 
-# Bounded, so a caller streaming distinct keys cannot grow it without
-# limit; the default verify grid uses 900 keys.
-@functools.lru_cache(maxsize=4096)
-def correlation_factor(alpha1: float, alpha2: float, z: float,
-                       minus_one: bool) -> special.SeriesResult:
-    """F(-alpha1/2, -alpha2/2; 1/2; z), or F - 1 when ``minus_one``.
+def series_factor(spec: MomentSpec, minus_one: bool) -> special.SeriesResult:
+    """F(-alpha1/2, -alpha2/2; 1/2; rho^2), or F - 1 when ``minus_one``.
 
     This is the whole rho dependence of the moment, with z = rho^2 in
     [0, 1]; at z = 1 it is the exact ``special.hyp2f1_at_one``, or +inf
-    where that diverges (alpha1 + alpha2 <= -1).  Results are memoized
-    per argument tuple (pass all four positionally, so equal keys hash
-    alike); a miss goes through the ``special`` module attribute, and
-    exceptions are not cached.
+    where that diverges (alpha1 + alpha2 <= -1).  The series are summed
+    through the ``special`` module attributes.
     """
-    a, b = -0.5 * alpha1, -0.5 * alpha2
+    a, b, z = -0.5 * spec.alpha1, -0.5 * spec.alpha2, spec.rho * spec.rho
     if z == 1.0:
         try:
             value = special.hyp2f1_at_one(a, b, 0.5)
@@ -75,26 +70,16 @@ def abs_moment_1d(sigma: float, alpha: float) -> float:
     return special.exp_of_log(log_val)
 
 
-# Bounded like ``correlation_factor``; the default grid uses 900 keys.
-@functools.lru_cache(maxsize=4096)
-def prefactor(sigma1: float, sigma2: float, alpha1: float,
-              alpha2: float) -> float:
-    """P = E[|X1|^alpha1] * E[|X2|^alpha2], from its log.
-
-    Memoized per (sigma1, sigma2, alpha1, alpha2), passed positionally;
-    a ``DomainError`` past the float range is not cached.
-    """
-    return special.exp_of_log(0.5 * (alpha1 + alpha2) * math.log(2.0)
-                              + alpha1 * math.log(sigma1)
-                              + alpha2 * math.log(sigma2)
-                              + math.lgamma(0.5 * (alpha1 + 1.0))
-                              + math.lgamma(0.5 * (alpha2 + 1.0))
-                              - _LOG_PI)
-
-
 def product_of_marginals(spec: MomentSpec) -> float:
-    """E[|X1|^alpha1] * E[|X2|^alpha2], independent of rho."""
-    return prefactor(spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2)
+    """P = E[|X1|^alpha1] * E[|X2|^alpha2], independent of rho, from its
+    log; ``DomainError`` past the float range."""
+    a1, a2 = spec.alpha1, spec.alpha2
+    return special.exp_of_log(0.5 * (a1 + a2) * math.log(2.0)
+                              + a1 * math.log(spec.sigma1)
+                              + a2 * math.log(spec.sigma2)
+                              + math.lgamma(0.5 * (a1 + 1.0))
+                              + math.lgamma(0.5 * (a2 + 1.0))
+                              - _LOG_PI)
 
 
 def _times(p: float, factor: float) -> float:
@@ -105,31 +90,36 @@ def _times(p: float, factor: float) -> float:
     return value
 
 
+def moment_from(p: float, series: special.SeriesResult) -> Estimate:
+    """P * F with P times the truncation bound of F as its error."""
+    return Estimate(_times(p, series.value),
+                    _times(p, series.truncation_error_estimate))
+
+
+def gap_from(p: float, tail: special.SeriesResult) -> float:
+    """P * (F - 1) from P and the summed F - 1."""
+    return _times(p, tail.value)
+
+
 def product_moment(spec: MomentSpec) -> Estimate:
     """E[|X1|^alpha1 |X2|^alpha2] = P * F for |rho| <= 1.
 
     The error estimate is P times the truncation bound of F.  At
-    |rho| = 1 the value is +inf when alpha1 + alpha2 <= -1.
+    |rho| = 1 the value is +inf when alpha1 + alpha2 <= -1.  P is
+    computed first, so where it overflows F is not summed.
     """
-    p = product_of_marginals(spec)
-    series = correlation_factor(spec.alpha1, spec.alpha2, spec.rho * spec.rho,
-                                False)
-    return Estimate(_times(p, series.value),
-                    _times(p, series.truncation_error_estimate))
+    return moment_from(product_of_marginals(spec), series_factor(spec, False))
 
 
 def gap(spec: MomentSpec) -> float:
     """E[|X1|^a1 |X2|^a2] - E[|X1|^a1] E[|X2|^a2] = P * (F - 1).
 
-    Exactly 0 at rho = 0.  At |rho| = 1 the result is +inf when
-    alpha1 + alpha2 <= -1.
+    Exactly 0 at rho = 0, without P.  At |rho| = 1 the result is +inf
+    when alpha1 + alpha2 <= -1.
     """
     if spec.rho == 0.0:
         return 0.0
-    p = product_of_marginals(spec)
-    tail = correlation_factor(spec.alpha1, spec.alpha2, spec.rho * spec.rho,
-                              True)
-    return _times(p, tail.value)
+    return gap_from(product_of_marginals(spec), series_factor(spec, True))
 
 
 def gap_via_3f2(spec: MomentSpec) -> float:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussgap import bounds, moments, special
+from gaussgap import bounds, moments, special, verify
 from gaussgap.bounds import (GapBound, check_point, gap_bound,
                              pair_bound_int_int, pair_bound_int_one,
                              pair_bound_small)
@@ -275,8 +275,7 @@ class TestCheckPoint:
         # the envelope coefficient, then a same-sign lower end
         for spec in (MomentSpec(1, 4, -0.5, 200, 0.5),
                      MomentSpec(1, 32, 100, 100, 0.5)):
-            assert math.isfinite(bounds._rho_free_factors(
-                spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2)[0])
+            assert math.isfinite(bounds.bound_factors(spec)[0])
             with pytest.raises(DomainError, match="overflows"):
                 gap_bound(spec)
 
@@ -320,14 +319,36 @@ class TestCheckPointTolerance:
         assert check_point(spec).satisfied is satisfied
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestRhoFreeFactorCaches:
-    def test_lower_bound_scale_shared_across_rho(self):
-        first = gap_bound(MomentSpec(0.5, 2.0, 3.0, 1.5, 0.25))
-        for rho in (-0.25, 0.5, 0.95, 1.0):
-            gap_bound(MomentSpec(0.5, 2.0, 3.0, 1.5, rho))
-        info = bounds._rho_free_factors.cache_info()
-        assert (info.hits, info.misses) == (4, 1)
-        assert first.case_tag == "MixedMagnitude"
+    """A sweep's ``verify.KeyTable`` computes the rho-free factors once per
+    (sigma1, sigma2, alpha1, alpha2) and gives the bits of ``gap_bound``."""
+
+    @staticmethod
+    def _bounds(specs):
+        table = verify.KeyTable()
+        return [verify.evaluate_point(spec, 0, table=table) for spec in specs]
+
+    def test_lower_bound_scale_shared_across_rho(self, monkeypatch):
+        calls = _count_calls(monkeypatch, bounds, "bound_factors")
+        specs = [MomentSpec(0.5, 2.0, 3.0, 1.5, rho)
+                 for rho in (0.25, -0.25, 0.5, 0.95, 1.0)]
+        rows = self._bounds(specs)
+        assert calls == [(specs[0],)]
+        for spec, row in zip(specs, rows):
+            assert row.case_tag == "MixedMagnitude"
+            assert row.bound_lower == gap_bound(spec).lower
 
     def test_lower_bound_value_is_the_uncached_float(self):
         # the rho-dependent multiply keeps its left-to-right order
@@ -338,42 +359,32 @@ class TestRhoFreeFactorCaches:
                       + math.lgamma(0.5 * (a2 + 1.0))
                       - math.log(2.0 * math.pi))
         want = a1 * a2 * rho * rho * math.exp(log_scale)
-        for _ in range(2):
-            bound = gap_bound(MomentSpec(s1, s2, a1, a2, rho))
-            assert bound == GapBound(want, math.inf,
-                                     "SameSignMain", False)
+        spec = MomentSpec(s1, s2, a1, a2, rho)
+        assert gap_bound(spec) == GapBound(want, math.inf, "SameSignMain",
+                                           False)
+        assert self._bounds([spec, spec])[1].bound_lower == want
 
-    def test_envelope_factors_shared_across_rho(self):
+    def test_envelope_factors_shared_across_rho(self, monkeypatch):
         spec = MomentSpec(0.5, 2.0, -0.5, 3.0, 0.5)
         first = gap_bound(spec)
         # the mirrored orientation is its own key but gives the same bits
-        mirrored = gap_bound(MomentSpec(2.0, 0.5, 3.0, -0.5, 0.5))
-        assert mirrored == first._replace(swapped=True)
-        gap_bound(MomentSpec(0.5, 2.0, -0.5, 3.0, -0.95))
-        info = bounds._rho_free_factors.cache_info()
-        assert (info.hits, info.misses) == (1, 2)
+        mirrored = MomentSpec(2.0, 0.5, 3.0, -0.5, 0.5)
+        assert gap_bound(mirrored) == first._replace(swapped=True)
+        calls = _count_calls(monkeypatch, bounds, "bound_factors")
+        rows = self._bounds([spec, mirrored,
+                             MomentSpec(0.5, 2.0, -0.5, 3.0, -0.95)])
+        assert calls == [(spec,), (mirrored,)]
+        assert [(r.bound_lower, r.bound_upper) for r in rows[:2]] == \
+            [(first.lower, first.upper)] * 2
+        assert ["swapped" in r.flags for r in rows] == [False, True, False]
 
     def test_divergent_value_cached_as_vacuous(self, monkeypatch):
-        calls = []
-        original = special.hyp2f1_at_one
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(special, "hyp2f1_at_one", counting)
-        for rho in (0.25, 0.5, -0.75):
-            env = gap_bound(MomentSpec(1, 1, -0.9, 0.5, rho))
-            assert env.lower == -math.inf and not env.finite_lower
+        calls = _count_calls(monkeypatch, special, "hyp2f1_at_one")
+        rows = self._bounds([MomentSpec(1, 1, -0.9, 0.5, rho)
+                             for rho in (0.25, 0.5, -0.75)])
+        for row in rows:
+            assert row.bound_lower == -math.inf and not row.finite_lower
+            assert "vacuous-lower" in row.flags
         assert calls == [(1.45, 0.75, 1.5)]
         with pytest.raises(SeriesDivergenceError):
-            original(1.45, 0.75, 1.5)
-
-    def test_overflow_not_cached(self):
-        for _ in range(2):
-            with pytest.raises(DomainError, match="overflows"):
-                gap_bound(MomentSpec(1, 1, 200, 200, 0.5))
-        assert bounds._rho_free_factors.cache_info().currsize == 0
-
-    def test_bounded(self):
-        assert bounds._rho_free_factors.cache_info().maxsize is not None
+            special.hyp2f1_at_one(1.45, 0.75, 1.5)

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussgap import oracles, special
-from gaussgap.errors import ConvergenceError, DomainError
-from gaussgap.moments import (abs_moment_1d, correlation_factor, gap,
-                              gap_via_3f2, prefactor, product_moment,
-                              product_of_marginals)
+from gaussgap import moments, oracles, special, verify
+from gaussgap.errors import DomainError
+from gaussgap.moments import (abs_moment_1d, gap, gap_via_3f2, product_moment,
+                              product_of_marginals, series_factor)
 from gaussgap.types import Estimate, MomentSpec
 
 # E[|X1| |X2|] for unit variances via the classical arcsine closed form,
@@ -102,7 +101,7 @@ class TestProductMoment:
 
     def test_error_estimate_is_p_times_truncation_bound(self):
         spec = MomentSpec(0.5, 2.0, 1.5, -0.5, 0.75)
-        series = correlation_factor(1.5, -0.5, 0.5625, False)
+        series = series_factor(spec, False)
         p = product_of_marginals(spec)
         assert series.truncation_error_estimate > 0.0
         assert product_moment(spec) == Estimate(
@@ -209,7 +208,8 @@ class TestGap:
         got = gap(MomentSpec(1, 1, 0.5, 0.5, rho))
         elapsed = time.perf_counter() - t0
         # leading term P * a1 a2 rho^2 / 2; the next is 1e-310 times smaller
-        want = prefactor(1.0, 1.0, 0.5, 0.5) * 0.125 * rho * rho
+        want = (product_of_marginals(MomentSpec(1, 1, 0.5, 0.5, rho))
+                * 0.125 * rho * rho)
         assert 0.0 < got < math.inf
         assert rel_err(got, want) < 1e-9
         assert elapsed < 1.0
@@ -282,61 +282,53 @@ class TestOverflow:
             fn(MomentSpec(1e-3, 1e-3, 1501.0, 1501.0, rho))
 
 
+def _counting(monkeypatch, module, name):
+    """Record the arguments of every call of ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestCorrelationFactor:
     def test_values_are_the_series(self):
-        z = 0.5625
-        assert correlation_factor(1.5, -0.5, z, False) == \
-            special.hyp2f1(-0.75, 0.25, 0.5, z)
-        assert correlation_factor(1.5, -0.5, z, True) == \
-            special.hyp2f1_minus_one(-0.75, 0.25, 0.5, z)
+        spec = MomentSpec(1, 1, 1.5, -0.5, 0.75)
+        assert series_factor(spec, False) == \
+            special.hyp2f1(-0.75, 0.25, 0.5, 0.5625)
+        assert series_factor(spec, True) == \
+            special.hyp2f1_minus_one(-0.75, 0.25, 0.5, 0.5625)
 
-    def test_other_scale_or_sign_hits(self):
-        gap(MomentSpec(1, 1, 1.5, -0.5, 0.75))
-        product_moment(MomentSpec(1, 1, 1.5, -0.5, 0.75))
-        before = correlation_factor.cache_info()
-        assert (before.hits, before.misses) == (0, 2)
-        for s1, s2, rho in [(0.5, 2.0, 0.75), (2.0, 1.0, -0.75),
-                            (1.0, 1.0, -0.75)]:
-            gap(MomentSpec(s1, s2, 1.5, -0.5, rho))
-            product_moment(MomentSpec(s1, s2, 1.5, -0.5, rho))
-        after = correlation_factor.cache_info()
-        assert after.misses == before.misses
-        assert after.hits == before.hits + 6
+    def test_other_scale_or_sign_hits(self, monkeypatch):
+        # one table: other scales and the other sign share both series
+        summed = {name: _counting(monkeypatch, special, name)
+                  for name in ("hyp2f1", "hyp2f1_minus_one")}
+        table = verify.KeyTable()
+        specs = [MomentSpec(s1, s2, 1.5, -0.5, rho)
+                 for s1, s2, rho in [(1.0, 1.0, 0.75), (0.5, 2.0, 0.75),
+                                     (2.0, 1.0, -0.75), (1.0, 1.0, -0.75)]]
+        rows = [verify.evaluate_point(spec, 0, table=table) for spec in specs]
+        for calls in summed.values():
+            assert calls == [(-0.75, 0.25, 0.5, 0.5625)]
+        for spec, row in zip(specs, rows):
+            assert (row.gap, row.moment) == (gap(spec),
+                                             product_moment(spec).value)
 
     def test_miss_sums_through_module_attribute(self, monkeypatch):
-        calls = []
-        original = special.hyp2f1_minus_one
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(special, "hyp2f1_minus_one", counting)
-        first = gap(MomentSpec(1, 1, 1.0, 3.0, 0.5))
-        second = gap(MomentSpec(2, 1, 1.0, 3.0, -0.5))
+        calls = _counting(monkeypatch, special, "hyp2f1_minus_one")
+        config = verify.SweepConfig(alpha1_values=(1.0,), alpha2_values=(3.0,),
+                                    rho_values=(0.5, -0.5),
+                                    sigma1_values=(1.0, 2.0),
+                                    sigma2_values=(1.0,))
+        rows, _ = verify.run_sweep(config)
         assert calls == [(-0.5, -1.5, 0.5, 0.25)]
-        assert second == pytest.approx(2.0 * first, rel=1e-14)
-
-    def test_errors_are_not_cached(self, monkeypatch):
-        calls = []
-
-        def failing(a, b, c, z):
-            calls.append(z)
-            raise ConvergenceError(f"no convergence at z = {z}")
-
-        monkeypatch.setattr(special, "hyp2f1", failing)
-        spec = MomentSpec(1, 1, -0.3, -0.2, 0.5)
-        messages = []
-        for _ in range(2):
-            with pytest.raises(ConvergenceError) as info:
-                product_moment(spec)
-            messages.append(str(info.value))
-        assert messages == ["no convergence at z = 0.25"] * 2
-        assert calls == [0.25, 0.25]
-        assert correlation_factor.cache_info().currsize == 0
-
-    def test_bounded(self):
-        assert correlation_factor.cache_info().maxsize is not None
+        first, second = rows[0], rows[3]
+        assert (second.sigma1, second.rho) == (2.0, -0.5)
+        assert second.gap == pytest.approx(2.0 * first.gap, rel=1e-14)
 
     def test_z_one_is_the_closed_form(self, monkeypatch):
         def no_series(*args):
@@ -345,18 +337,17 @@ class TestCorrelationFactor:
         monkeypatch.setattr(special, "hyp2f1", no_series)
         monkeypatch.setattr(special, "hyp2f1_minus_one", no_series)
         f_at_one = special.hyp2f1_at_one(-0.75, 0.25, 0.5)
-        assert correlation_factor(1.5, -0.5, 1.0, False) == \
+        spec = MomentSpec(0.5, 2.0, 1.5, -0.5, -1.0)
+        assert series_factor(spec, False) == \
             special.SeriesResult(f_at_one, 0, 0.0, True)
-        assert correlation_factor(1.5, -0.5, 1.0, True) == \
+        assert series_factor(spec, True) == \
             special.SeriesResult(f_at_one - 1.0, 0, 0.0, True)
-        product_moment(MomentSpec(0.5, 2.0, 1.5, -0.5, -1.0))
+        product_moment(spec)
         gap(MomentSpec(2.0, 1.0, 1.5, -0.5, 1.0))
-        info = correlation_factor.cache_info()
-        assert (info.hits, info.misses) == (2, 2)
 
     @pytest.mark.parametrize("minus_one", [False, True])
     def test_z_one_diverges_to_inf(self, minus_one):
-        assert correlation_factor(-0.6, -0.5, 1.0, minus_one) == \
+        assert series_factor(MomentSpec(1, 1, -0.6, -0.5, 1.0), minus_one) == \
             special.SeriesResult(math.inf, 0, 0.0, True)
 
 
@@ -391,10 +382,8 @@ class TestRhoOneAgainstMpmath:
                 p, f = self._reference(spec, mpmath)
                 tol = max(1e-13, 2 * 2.0 ** -52 * abs(float(mpmath.log(p))))
                 for got, want, bound in [
-                        (correlation_factor(a1, a2, 1.0, False).value, f,
-                         1e-13),
-                        (correlation_factor(a1, a2, 1.0, True).value, f - 1,
-                         1e-13),
+                        (series_factor(spec, False).value, f, 1e-13),
+                        (series_factor(spec, True).value, f - 1, 1e-13),
                         (product_moment(spec).value, p * f, tol),
                         (gap(spec), p * (f - 1), tol)]:
                     assert float(abs((got - want) / want)) < bound, (a1, got)
@@ -438,25 +427,17 @@ class TestDirectSeriesLargeExponents:
 
 
 class TestPrefactor:
-    def test_shared_across_rho_and_functions(self):
-        for rho in (0.0, 0.25, -0.25, 0.95, 1.0):
-            spec = MomentSpec(0.5, 0.5, 1.5, -0.5, rho)
-            gap(spec)
-            product_moment(spec)
-        info = prefactor.cache_info()
-        # gap returns 0 at rho = 0 without P; every other call hits
-        assert (info.hits, info.misses) == (8, 1)
-        assert product_of_marginals(MomentSpec(0.5, 0.5, 1.5, -0.5, 0.3)) == \
-            prefactor(0.5, 0.5, 1.5, -0.5)
-
-    def test_errors_are_not_cached(self):
-        for _ in range(2):
-            with pytest.raises(DomainError, match="overflows"):
-                prefactor(1.0, 1.0, 200.0, 200.0)
-        assert prefactor.cache_info().currsize == 0
-
-    def test_bounded(self):
-        assert prefactor.cache_info().maxsize is not None
+    def test_shared_across_rho_and_functions(self, monkeypatch):
+        calls = _counting(monkeypatch, moments, "product_of_marginals")
+        table = verify.KeyTable()
+        specs = [MomentSpec(0.5, 0.5, 1.5, -0.5, rho)
+                 for rho in (0.0, 0.25, -0.25, 0.95, 1.0)]
+        rows = [verify.evaluate_point(spec, 0, table=table) for spec in specs]
+        assert calls == [(specs[0],)]
+        for spec, row in zip(specs, rows):
+            assert (row.gap, row.moment) == (gap(spec),
+                                             product_moment(spec).value)
+        assert table.scale(specs[0])[0] == product_of_marginals(specs[0])
 
 
 class TestGapDualPath:

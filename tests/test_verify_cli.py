@@ -1,6 +1,8 @@
 """Tests for the sweep machinery, report serialization, and the CLI."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,14 +11,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import gaussgap
-from gaussgap import cli, moments, special, verify
-from gaussgap.errors import ConvergenceError
+from gaussgap import bounds, cli, moments, special, verify
+from gaussgap.errors import ConvergenceError, DomainError
 from gaussgap.types import MomentSpec
-from gaussgap.verify import (CSV_COLUMNS, OracleChoice, SweepConfig,
-                             evaluate_point, row_to_csv_fields, row_to_dict,
-                             run_sweep)
+from gaussgap.verify import (CSV_COLUMNS, KeyTable, OracleChoice, ReportRow,
+                             RowWriter, SweepConfig, evaluate_point,
+                             row_to_dict, run_sweep)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -58,21 +62,17 @@ class TestSweep:
         assert [r.index for r in parallel] == list(range(len(serial)))
         assert serial == parallel
 
-    def test_cached_sweep_matches_cold_points(self, clear_caches):
-        # three scales and both signs of each |rho| share every series key
+    def test_cached_sweep_matches_cold_points(self):
+        # three scales and both signs of each |rho| share every series key;
+        # each cold point gets a table of its own
         config = SweepConfig(alpha1_values=(-0.5, 1.0, 2.5),
                              alpha2_values=(-0.9, 1.5),
                              rho_values=(0.0, 0.5, -0.5, 0.95, -0.95),
                              sigma1_values=(0.5, 2.0),
                              sigma2_values=(1.0, 2.0))
         rows, _ = run_sweep(config, jobs=1)
-        for cache in (moments.correlation_factor, moments.prefactor):
-            info = cache.cache_info()
-            assert info.hits > info.misses > 0
-        cold = []
-        for i, spec in enumerate(config.grid()):
-            clear_caches()
-            cold.append(evaluate_point(spec, i))
+        cold = [evaluate_point(spec, i)
+                for i, spec in enumerate(config.grid())]
         assert rows == cold
 
     def test_pool_oserror_falls_back_with_one_notice(self, monkeypatch,
@@ -164,6 +164,15 @@ class TestSweep:
         assert rows[0].oracle_mc_value is None
 
 
+def _written(rows, fmt, columns=CSV_COLUMNS):
+    """What a ``RowWriter`` writes for ``rows``."""
+    stream = io.StringIO()
+    writer = RowWriter(stream, fmt, columns)
+    for row in rows:
+        writer.write(row)
+    return stream.getvalue()
+
+
 def _reference_jsonable(value):
     """Reference mapping for serialization: applied to every field, float
     or not, with no assumption about which columns can be non-finite."""
@@ -243,19 +252,16 @@ class TestWarmSweepBytes:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_warm_sweep_writes_cold_bytes(self, fmt, tmp_path, monkeypatch,
-                                          capsys, clear_caches):
+                                          capsys):
         self._fail_at_095(monkeypatch)
         out_file = tmp_path / f"rows.{fmt}"
         code, _, _ = run_cli(["verify", *self.ARGS, "--jobs", "1",
                               "--format", fmt, "--output", str(out_file)],
                              capsys)
         assert code == 0
-        assert moments.prefactor.cache_info().hits > 0
 
-        cold = []
-        for i, spec in enumerate(self.CONFIG.grid()):
-            clear_caches()
-            cold.append(evaluate_point(spec, i))
+        cold = [evaluate_point(spec, i)
+                for i, spec in enumerate(self.CONFIG.grid())]
         lines = [_reference_line(row, fmt) for row in cold]
         if fmt == "csv":
             lines.insert(0, ",".join(CSV_COLUMNS))
@@ -299,8 +305,10 @@ class TestSerialization:
             got, want = row_to_dict(row), _reference_dict(row)
             assert list(got.items()) == list(want.items())
             assert cli._json_line(got) == _reference_line(row, "json")
-            assert ",".join(row_to_csv_fields(row, CSV_COLUMNS)) == \
-                _reference_line(row, "csv")
+        assert _written(rows, "json") == "".join(
+            _reference_line(row, "json") + "\n" for row in rows)
+        assert _written(rows, "csv").splitlines()[1:] == [
+            _reference_line(row, "csv") for row in rows]
         assert {"nan", "+inf", "-inf"} <= {
             v for row in rows for v in row_to_dict(row).values()
             if isinstance(v, str)}
@@ -321,8 +329,114 @@ class TestSerialization:
 
     def test_csv_fields_align_with_header(self):
         row = evaluate_point(MomentSpec(1, 1, -0.5, 2, 0.5), 1)
-        fields = row_to_csv_fields(row, CSV_COLUMNS)
+        header, fields = csv.reader(io.StringIO(_written([row], "csv")))
+        assert header == list(CSV_COLUMNS)
         assert len(fields) == len(CSV_COLUMNS)
+
+
+# Values whose text is easy to confuse: equal numbers of three types,
+# both zeros, the smallest subnormal and the non-finite floats.
+_TRICKY = (True, 1, 1.0, False, 0, 0.0, -0.0, 5e-324, -5e-324, math.nan,
+           math.inf, -math.inf, None, 0.1, "x")
+# No NUL, which csv.reader refuses; the JSON example below has one.
+_TEXT = st.text(st.characters(exclude_characters="\x00",
+                              exclude_categories=("Cs",)), max_size=12)
+_VALUE = st.one_of(st.sampled_from(_TRICKY), st.none(), st.booleans(),
+                   st.integers(-2 ** 70, 2 ** 70), st.floats(), _TEXT)
+_FLAGS = st.lists(st.one_of(
+    st.sampled_from(('say "hi"', "back\\slash", "tab\tend", "a,b",
+                     "l\u00e4uft", "line\nbreak", "cr\rlf", "\u2603", "\x1f",
+                     "swapped")),
+    _TEXT), max_size=3).map(tuple)
+_ROWS = st.lists(st.builds(ReportRow, *[_VALUE] * (len(CSV_COLUMNS) - 1),
+                           _FLAGS),
+                 min_size=1, max_size=6)
+
+
+def _csv_reference_cell(value) -> str:
+    value = verify._jsonable(value)
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ";".join(value)
+    return str(value)
+
+
+class TestRowWriter:
+    ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+    @given(_ROWS)
+    @example([ReportRow(*_TRICKY[:14], -0.0, *_TRICKY[9:15],
+                        ('q"\\', "\x00\x07", "\u00e9t\u00e9"))])
+    @example([ReportRow(*[0.0] * 21, (0.0,)),
+              ReportRow(*[-0.0] * 21, (-0.0,))])
+    def test_json_is_the_encoder_of_row_to_dict(self, rows):
+        # one writer for all rows, so a value's stored text is reused
+        assert _written(rows, "json") == "".join(
+            self.ENCODER.encode(row_to_dict(row)) + "\n" for row in rows)
+
+    @given(_ROWS)
+    def test_csv_reads_back_as_the_cells(self, rows):
+        text = _written(rows, "csv")
+        header, *cells = csv.reader(io.StringIO(text))
+        assert header == list(CSV_COLUMNS)
+        assert cells == [[_csv_reference_cell(v) for v in row]
+                         for row in rows]
+
+    def test_chosen_columns(self):
+        row = evaluate_point(MomentSpec(1, 1, -0.5, 2, 0.5), 1)
+        text = _written([row, row], "csv", ("gap", "rho", "flags"))
+        assert text.splitlines() == ["gap,rho,flags"] + [
+            f"{row.gap!r},0.5,"] * 2
+
+    def test_comma_in_a_flag_is_quoted(self, tmp_path, capsys):
+        # the only row errors with "closed-form bound for exponents
+        # (-0.9, 300.0) overflows ..."
+        out_file = tmp_path / "rows.csv"
+        code, _, _ = run_cli(["verify", "--alpha1=-0.9", "--alpha2", "300",
+                              "--rho", "0.3", "--sigma1", "1", "--sigma2", "1",
+                              "--jobs", "1", "--format", "csv",
+                              "--output", str(out_file)], capsys)
+        assert code == 2
+        header, row = csv.reader(io.StringIO(out_file.read_text()))
+        assert len(header) == len(row) == len(CSV_COLUMNS)
+        flags = row[CSV_COLUMNS.index("flags")]
+        assert flags.startswith("error:DomainError:closed-form bound for "
+                                "exponents (-0.9, 300.0) overflows")
+        assert out_file.read_text().endswith(f'"{flags}"\n')
+
+
+def test_stored_key_error_has_no_traceback(monkeypatch):
+    # near rho = 1 the sum needs far more than 5,000 terms; the stored
+    # error must not keep the failed sum's frames and numpy blocks alive
+    monkeypatch.setattr(special, "MAX_TERMS", 5_000)
+    specs = [MomentSpec(s1, 1, -0.3, -0.2, 0.999) for s1 in (0.5, 2.0)]
+    table = KeyTable()
+    rows = [evaluate_point(spec, i, table=table)
+            for i, spec in enumerate(specs)]
+    for row in rows:
+        assert [f.split(":")[1] for f in row.flags] == [
+            "ConvergenceError"] * 2
+    for minus_one in (True, False):
+        stored = table.series(specs[1], minus_one)
+        assert isinstance(stored, ConvergenceError)
+        assert stored.__traceback__ is None
+    p, factors = table.scale(specs[0])
+    assert p == moments.product_of_marginals(specs[0])
+    assert factors == bounds.bound_factors(specs[0])
+
+
+def test_stored_scale_error_has_no_traceback():
+    table = KeyTable()
+    spec = MomentSpec(1, 1, 200, 200, 0.5)
+    row = evaluate_point(spec, 0, table=table)
+    p, factors = table.scale(spec)
+    for stored in (p, factors):
+        assert isinstance(stored, DomainError)
+        assert stored.__traceback__ is None
+    assert row.flags == (f"error:DomainError:{p}",) * 2
 
 
 class TestCliMoment:
@@ -506,6 +620,22 @@ class TestCliVerify:
         counts = dict(field.split("=") for field in out.split())
         assert {k: int(v) for k, v in counts.items()} == expected["summary"]
 
+    def test_default_grid_pool_matches_committed_reference(
+            self, tmp_path, capsys, monkeypatch):
+        # two workers whatever the host's core count; each chunk of the
+        # grid has a key table of its own
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        expected = json.loads(
+            (REPO / "benchmarks" / "reference" / "expected.json").read_text()
+        )["default-grid"]
+        out_file = tmp_path / "rows.jsonl"
+        code, _, err = run_cli(["verify", "--jobs", "2",
+                                "--output", str(out_file)], capsys)
+        assert code == 0
+        assert err == ""  # no fallback notice: the pool ran
+        digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+        assert digest == expected["sha256"]
+
     def test_partly_errored_exits_zero(self, capsys):
         code, _, err = run_cli(["verify", "--alpha1", "1,200", "--alpha2",
                                 "200", "--rho", "0.5", "--sigma1", "1",
@@ -650,7 +780,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["gap", "curve", "verify"])
     def test_violation_exits_one(self, command, capsys, monkeypatch):
-        monkeypatch.setattr(moments, "gap", lambda spec: -1.0)
+        # every row's gap is P * (F - 1) composed by moments.gap_from
+        monkeypatch.setattr(moments, "gap_from", lambda p, tail: -1.0)
         assert self._run(command, 1, capsys)[0] == 1
 
 
