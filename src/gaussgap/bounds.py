@@ -80,7 +80,7 @@ def bound_factors(spec: MomentSpec
     G(1) = F(1 - a1/2, 1 - a2/2; 3/2; 1), or None where it diverges.  The
     envelope scale sums its logs in one pass, the main branch groups the
     Gamma terms: they may differ in the last bit.  Raises ``DomainError``
-    where the scale or G(1) overflows float64.
+    where the scale, a log-Gamma or G(1) overflows float64.
     """
     sigma1, sigma2, a1, a2 = spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2
     if a1 == 0.0 or a2 == 0.0:
@@ -90,7 +90,8 @@ def bound_factors(spec: MomentSpec
         sigma1, sigma2, a1, a2 = sigma2, sigma1, a2, a1
     log_scale = (0.5 * (a1 + a2) * math.log(2.0)
                  + a1 * math.log(sigma1) + a2 * math.log(sigma2))
-    lg1, lg2 = math.lgamma(0.5 * (a1 + 1.0)), math.lgamma(0.5 * (a2 + 1.0))
+    lg1 = special.log_gamma(0.5 * (a1 + 1.0))
+    lg2 = special.log_gamma(0.5 * (a2 + 1.0))
     if a1 * a2 < 0:
         try:
             g_at_one = special.hyp2f1_at_one(1.0 - 0.5 * a1, 1.0 - 0.5 * a2,
@@ -101,7 +102,8 @@ def bound_factors(spec: MomentSpec
                 g_at_one, swapped)
     if _mixed_magnitude(a1, a2):
         case = "MixedMagnitude"
-        log_scale += math.lgamma(0.5 * (a1 + a2 - 1.0)) - _LOG_4_SQRT_PI
+        log_scale += (special.log_gamma(0.5 * (a1 + a2 - 1.0))
+                      - _LOG_4_SQRT_PI)
     else:
         case = "SameSignMain"
         log_scale += lg1 + lg2 - _LOG_2PI

@@ -16,16 +16,18 @@ marginal moments, P * (F - 1), with F - 1 summed directly from its first
 term, never as a difference of two large moments.
 
 Sigma enters only through the prefactor P (``product_of_marginals``)
-and rho only through rho^2 (``series_factor``).  These functions compute
+and rho only through rho^2 (``series_factors``).  These functions compute
 both afresh at every call; a sweep keys them, P by (sigma1, sigma2,
 alpha1, alpha2) and F by (alpha1, alpha2, rho^2), in a table that lives
-as long as the sweep (``verify.KeyTable``), and composes them with
+as long as a chunk of the sweep (``verify.KeyTable``) and sums all of its
+series in one ``series_factors`` batch, and composes them with
 ``moment_from`` and ``gap_from``, the same compositions
 ``product_moment`` and ``gap`` use.
 
 Prefactors are assembled in log space so large exponents (alpha ~ 50)
 survive without overflow; beyond float range they raise ``DomainError``,
-before F is summed.
+before F is summed, as does a log-Gamma past it (alpha above about
+5e305).
 """
 
 from __future__ import annotations
@@ -33,30 +35,53 @@ from __future__ import annotations
 import math
 
 from . import special
-from .errors import DomainError, SeriesDivergenceError
+from .errors import DomainError, GaussGapError, SeriesDivergenceError
 from .types import Estimate, MomentSpec
 
 _LOG_PI = math.log(math.pi)
 
 
-def series_factor(spec: MomentSpec, minus_one: bool) -> special.SeriesResult:
-    """F(-alpha1/2, -alpha2/2; 1/2; rho^2), or F - 1 when ``minus_one``.
+def series_factors(keys) -> list:
+    """F(-alpha1/2, -alpha2/2; 1/2; z), or F - 1 where ``minus_one``, at
+    each key ``(alpha1, alpha2, z, minus_one)`` with z = rho^2 in [0, 1].
 
-    This is the whole rho dependence of the moment, with z = rho^2 in
-    [0, 1]; at z = 1 it is the exact ``special.hyp2f1_at_one``, or +inf
-    where that diverges (alpha1 + alpha2 <= -1).  The series are summed
-    through the ``special`` module attributes.
+    This is the whole rho dependence of the moment.  Each entry is a
+    ``special.SeriesResult`` or the ``GaussGapError`` it failed with,
+    without a traceback.  At z = 1 it is the exact
+    ``special.hyp2f1_at_one``, or +inf where that diverges (alpha1 +
+    alpha2 <= -1); every other key is a row of one batch summed through
+    the ``special._sum_pfq`` module attribute.
     """
-    a, b, z = -0.5 * spec.alpha1, -0.5 * spec.alpha2, spec.rho * spec.rho
-    if z == 1.0:
+    results = [None] * len(keys)
+    summed, rows = [], []
+    for i, (alpha1, alpha2, z, minus_one) in enumerate(keys):
+        a, b = -0.5 * alpha1, -0.5 * alpha2
+        if z != 1.0:
+            summed.append(i)
+            rows.append(((a, b), (0.5,), z, minus_one))
+            continue
         try:
             value = special.hyp2f1_at_one(a, b, 0.5)
         except SeriesDivergenceError:
             value = math.inf
-        return special.SeriesResult(value - 1.0 if minus_one else value,
-                                    0, 0.0, True)
-    summed = special.hyp2f1_minus_one if minus_one else special.hyp2f1
-    return summed(a, b, 0.5, z)
+        except GaussGapError as exc:
+            results[i] = exc.with_traceback(None)
+            continue
+        results[i] = special.SeriesResult(value - 1.0 if minus_one else value,
+                                          0, 0.0, True)
+    for i, result in zip(summed, special._sum_pfq(rows)):
+        results[i] = result
+    return results
+
+
+def series_factor(spec: MomentSpec, minus_one: bool) -> special.SeriesResult:
+    """The one ``series_factors`` key of ``spec``, at z = rho^2, raising
+    its error."""
+    (result,) = series_factors([(spec.alpha1, spec.alpha2,
+                                 spec.rho * spec.rho, minus_one)])
+    if isinstance(result, GaussGapError):
+        raise result
+    return result
 
 
 def abs_moment_1d(sigma: float, alpha: float) -> float:
@@ -66,7 +91,7 @@ def abs_moment_1d(sigma: float, alpha: float) -> float:
     if not alpha > -1:
         raise DomainError(f"alpha must exceed -1, got {alpha}")
     log_val = (0.5 * alpha * math.log(2.0) + alpha * math.log(sigma)
-               + math.lgamma(0.5 * (alpha + 1.0)) - 0.5 * _LOG_PI)
+               + special.log_gamma(0.5 * (alpha + 1.0)) - 0.5 * _LOG_PI)
     return special.exp_of_log(log_val)
 
 
@@ -77,8 +102,8 @@ def product_of_marginals(spec: MomentSpec) -> float:
     return special.exp_of_log(0.5 * (a1 + a2) * math.log(2.0)
                               + a1 * math.log(spec.sigma1)
                               + a2 * math.log(spec.sigma2)
-                              + math.lgamma(0.5 * (a1 + 1.0))
-                              + math.lgamma(0.5 * (a2 + 1.0))
+                              + special.log_gamma(0.5 * (a1 + 1.0))
+                              + special.log_gamma(0.5 * (a2 + 1.0))
                               - _LOG_PI)
 
 

@@ -15,12 +15,24 @@ host), and arguments too close to 1 exhaust the term cap and raise
 ``ConvergenceError`` rather than silently returning a low-accuracy value;
 an overflowing term raises ``DomainError``.
 
+The loop sums a batch of series as the rows of 2-D blocks: a sweep sums
+all of a chunk's series in one call, and ``hyp2f1``, ``hyp2f1_minus_one``
+and ``hyp3f2`` are one-row batches.  The rows go through the short
+blocks in step, split into groups of at most ``_BLOCK_MAX`` terms (rows
+times block length), so a batch holds no more buffers than one steady
+block, plus a column for the carried term and partial sum.  A row leaves
+the batch when it stops, and at the steady size each row runs on alone.
+A row that fails gets its own ``ConvergenceError`` or ``DomainError``
+and the others go on.
+
 The block schedule (``_BLOCK_START`` terms, doubling to ``_BLOCK_MAX``)
 and the order of the floating-point operations within a block are part
 of the output: each block multiplies its term ratios into a running
 product and adds the terms into a running sum, starting afresh from the
 carried term and partial sum, so changing either moves the last bits of
-every sum longer than one block.
+every sum longer than one block.  Row-wise ``np.multiply.accumulate`` and
+``np.add.accumulate`` along axis 1 are the 1-D calls bit for bit, so a
+series has the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import (AccuracyError, ConvergenceError, DomainError,
-                     SeriesDivergenceError)
+                     GaussGapError, SeriesDivergenceError)
 
 SERIES_EPS = 1e-15
 # Generous cap: direct summation of borderline-convergent series at
@@ -72,6 +84,16 @@ def exp_of_log(log_value: float) -> float:
                           "exponents are too large") from None
 
 
+def log_gamma(x: float) -> float:
+    """log|Gamma(x)|, raising ``DomainError`` past the float64 range
+    (x above about 2.6e305)."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise DomainError(f"lgamma({x:.6g}) overflows float64; exponents "
+                          "are too large") from None
+
+
 def _is_nonpos_int(x: float) -> bool:
     return x <= 0 and math.isfinite(x) and float(x).is_integer()
 
@@ -90,112 +112,214 @@ def double_factorial(n: int) -> int:
     return math.prod(range(n, 1, -2))
 
 
-def _first_stop(terms, sums, term: float, total: float, exact: bool,
-                screen: bool, work) -> int | None:
-    """Index of the first term of a block that stops the sum, or None.
+def _first_stops(terms, sums, exact, screen: bool, work):
+    """For each row of a block, whether each term stops the row's sum, or
+    None when no term of the block does.
 
-    Term i is stopped against the term and partial sum before it; for
-    i = 0 those are the carried scalars ``term`` and ``total``.  With
-    ``screen``, a block whose smallest |t| exceeds ``SERIES_EPS`` times its
+    Column 0 of ``terms`` and ``sums`` holds the term and partial sum
+    carried into the block, and term i is stopped against the term and
+    partial sum before it.  ``exact`` is None where no row is in exact
+    mode, True where every row is, else the rows' flags; an exact row
+    stops only at a term that is exactly zero.  With ``screen``, a block
+    in which every row's smallest |t| exceeds ``SERIES_EPS`` times its
     largest |S| is passed without the elementwise test: rounding is
-    monotone, so no term in it can meet the relative rule.  ``work`` is
-    scratch space of the block's size.
+    monotone, so no term in it can meet the relative rule, and none is
+    zero.  ``work`` is scratch space of the block's shape.
     """
-    if exact:
-        hits = np.flatnonzero(terms == 0.0)
-        return int(hits[0]) if hits.size else None
     size = np.abs(terms, out=work)
-    # NaN in sums makes both ends NaN and the comparison False
-    if screen and size.min() > SERIES_EPS * max(sums.max(), -sums.min(),
-                                                abs(total)):
-        return None
-    if size[0] <= SERIES_EPS * abs(total) and size[0] < abs(term):
-        return 0
-    hits = np.flatnonzero((size[1:] <= SERIES_EPS * np.abs(sums[:-1]))
-                          & (size[1:] < size[:-1]))
-    return int(hits[0]) + 1 if hits.size else None
+    if screen:
+        # NaN in sums makes both ends NaN and the comparison False
+        big = np.maximum(sums.max(axis=1), -sums.min(axis=1))
+        if (size[:, 1:].min(axis=1) > SERIES_EPS * big).all():
+            return None
+    if exact is True:
+        return terms[:, 1:] == 0.0
+    hit = size[:, 1:] <= SERIES_EPS * np.abs(sums[:, :-1])
+    hit &= size[:, 1:] < size[:, :-1]
+    if exact is not None:
+        hit[exact] = terms[exact, 1:] == 0.0
+    return hit
 
 
-def _sum_pfq(nums, dens, z: float, *,
-             skip_first: bool = False) -> SeriesResult:
-    """Sum a generalized hypergeometric series in numpy blocks of terms,
-    in exact mode or by the relative rule (see the module docstring).
+# overflow is caught as a non-finite term or sum
+@np.errstate(over="ignore", invalid="ignore")
+def _sum_pfq(series) -> list:
+    """Sum generalized hypergeometric series as the rows of one batch, in
+    numpy blocks of terms, each row in exact mode or by the relative rule
+    (see the module docstring).
 
-    ``skip_first=True`` sums only the tail from n = 1, which evaluates
-    F - 1 without the cancellation of computing F and subtracting; a zero
-    n = 1 term gives 0 at once.
+    ``series`` holds one ``(nums, dens, z, skip_first)`` per row, and the
+    rows share their numbers of numerator and of denominator parameters.
+    The result holds, in the same order, each row's ``SeriesResult`` or
+    the ``ConvergenceError`` or ``DomainError`` that ended it, never
+    raised and so without a traceback.  ``skip_first`` sums only the tail
+    from n = 1, which evaluates F - 1 without the cancellation of
+    computing F and subtracting; a zero n = 1 term gives 0 at once.
     """
-    exact = any(_is_nonpos_int(p) for p in nums)
-    first = 1 if skip_first else 0
-    if skip_first:
-        term = z
-        for p in nums:
-            term *= p
-        for q in dens:
-            term /= q
-        if term == 0.0:
-            return SeriesResult(0.0, 0, 0.0, exact)
-        total = term
-        n_next = 2
-    else:
+    results = [None] * len(series)
+    # The rows still summing: their positions, first summed n and exact
+    # flags, and one row of ``state`` each, with the next n, the carried
+    # term and partial sum, z and the parameters.
+    place, first, exact, state = [], [], [], []
+    for r, (nums, dens, z, skip_first) in enumerate(series):
+        is_exact = any(_is_nonpos_int(p) for p in nums)
         term = 1.0
-        total = 1.0
-        n_next = 1
+        if skip_first:
+            term = z
+            for p in nums:
+                term *= p
+            for q in dens:
+                term /= q
+            if term == 0.0:
+                results[r] = SeriesResult(0.0, 0, 0.0, is_exact)
+                continue
+        place.append(r)
+        first.append(int(skip_first))
+        exact.append(is_exact)
+        state.append((first[-1] + 1, term, term, z, *nums, *dens))
+    if not place:
+        return results
+    n_nums = len(series[0][0])
+    state = np.array(state, dtype=np.float64)
+    columns = [state[:, j:j + 1] for j in range(state.shape[1])]
+    # an upper bound on the next n: a round moves each row on by at most
+    # its block
+    far = max(first) + 1
 
-    # Each block of m terms after n_next - 1 is summed as
+    # Each row's block of m terms after n_next - 1 is summed as
     #   ratio_i = z (p0 + k) (p1 + k) ... / (q0 + k) / ... / n,  k = n - 1,
     #   t_i = term * cumprod(ratio)_i,  S_i = total + cumsum(t)_i,
     # with the factors multiplied in that order (see the module docstring).
-    # Blocks of the steady size reuse their buffers, advance n by m, which
-    # is exact below 2**53, and screen the stop rule; a short sum stops in
-    # its first blocks, where the screen would be wasted.
+    # The rows go through the short blocks in step, one round per block
+    # length, in groups of equal length and at most _BLOCK_MAX terms in
+    # all, and leave as they stop; a group of the last group's shape
+    # reuses its buffers, whose column 0 holds the carried term and partial
+    # sum.  At the steady size each row runs on alone, advancing n by m,
+    # which is exact below 2**53, and screening the stop rule; a short sum
+    # stops in its first blocks, where the screen would be wasted.
     block = _BLOCK_START
-    idx = np.empty(0)
-    while n_next <= MAX_TERMS:
-        m = min(block, MAX_TERMS + 1 - n_next)
-        steady = idx.size == m
-        if steady:
-            idx += m
-            k += m
+    shape = None
+    while True:
+        n_exact = sum(exact)
+        # runs of rows with the same block length: shorter for the rows
+        # that reach the term cap, and at most 0 for those past it
+        if far <= MAX_TERMS + 1 - block:
+            runs = [(0, len(place), block)]
         else:
-            idx = np.arange(n_next, n_next + m, dtype=np.float64)
-            k = idx - 1.0
-            terms, sums, work = np.empty(m), np.empty(m), np.empty(m)
-        # overflow is caught below as a non-finite term or sum
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add(k, nums[0], out=terms)
-            terms *= z
-            for p in nums[1:]:
-                terms *= np.add(k, p, out=work)
-            for q in dens:
-                terms /= np.add(k, q, out=work)
-            terms /= idx
-            np.multiply.accumulate(terms, out=terms)
-            terms *= term
-            np.add.accumulate(terms, out=sums)
-            sums += total
-        j = _first_stop(terms, sums, term, total, exact, steady, work)
-        if j is not None:
-            tail = 0.0
-            if not exact:
-                # geometric tail bound; the stop rule makes t_next < t_last
-                t_last = abs(float(terms[j - 1]) if j else term)
-                t_next = abs(float(terms[j]))
-                tail = t_next / (1.0 - t_next / t_last)
-            value = float(sums[j - 1]) if j else total
-            return SeriesResult(value, n_next + j - first, tail, exact)
-        if not (math.isfinite(float(terms[-1])) and math.isfinite(float(sums[-1]))):
-            raise DomainError("series term or partial sum overflows float64; "
-                              "exponents are too large")
-        term = float(terms[-1])
-        total = float(sums[-1])
-        n_next += m
+            widths = np.minimum(MAX_TERMS + 1 - state[:, 0], block)
+            cuts = [0, *(np.diff(widths).nonzero()[0] + 1).tolist(),
+                    len(place)]
+            runs = [(a, b, int(widths[a])) for a, b in zip(cuts, cuts[1:])]
+        ended = []  # the rows that leave the batch in this round
+        for start, end, m in runs:
+            if m <= 0:
+                ended.extend(range(start, end))
+                for i in range(start, end):
+                    n_next, _, total, z = state[i, :4].tolist()
+                    results[place[i]] = ConvergenceError(
+                        f"series did not meet the stopping criterion within "
+                        f"{MAX_TERMS} terms (z = {z} too close to 1)",
+                        partial_value=total,
+                        terms_used=int(n_next) - first[i])
+                continue
+            per = max(1, _BLOCK_MAX // m)
+            for lo in range(start, end, per):
+                hi = min(lo + per, end)
+                if shape != (hi - lo, m):
+                    # the old buffers go before the new ones are taken
+                    idx = k = terms = sums = work = t = s = w = None
+                    shape = (hi - lo, m)
+                    steps = np.arange(m, dtype=np.float64)
+                    idx, k = np.empty(shape), np.empty(shape)
+                    # column 0 holds the carried term and partial sum
+                    terms, sums, work = (np.empty((hi - lo, m + 1))
+                                         for _ in range(3))
+                    t, s, w = terms[:, 1:], sums[:, 1:], work[:, 1:]
+                # the group's columns of the state, views that follow it
+                nc, tc, sc, zc, p0, *ps = (
+                    columns if hi - lo == len(place)
+                    else [c[lo:hi] for c in columns])
+                np.add(steps, nc, out=idx)
+                np.subtract(idx, 1.0, out=k)
+                ex = (None if not n_exact else True if n_exact == len(place)
+                      else np.array(exact[lo:hi]))
+                while True:
+                    terms[:, :1] = tc
+                    sums[:, :1] = sc
+                    np.add(k, p0, out=t)
+                    t *= zc
+                    for j, pj in enumerate(ps, 1):
+                        np.add(k, pj, out=w)
+                        if j < n_nums:
+                            t *= w
+                        else:
+                            t /= w
+                    t /= idx
+                    np.multiply.accumulate(t, axis=1, out=t)
+                    t *= tc
+                    np.add.accumulate(t, axis=1, out=s)
+                    s += sc
+                    hit = _first_stops(terms, sums, ex, m == _BLOCK_MAX, work)
+                    stopped = None if hit is None else hit.any(axis=1)
+                    stops = ([] if stopped is None
+                             else stopped.nonzero()[0].tolist())
+                    for i in stops:
+                        j = int(hit[i].argmax())
+                        # geometric tail bound; the stop rule makes
+                        # t_next < t_last
+                        t_last = abs(float(terms[i, j]))
+                        t_next = abs(float(terms[i, j + 1]))
+                        value = float(sums[i, j])
+                        i += lo
+                        ended.append(i)
+                        results[place[i]] = SeriesResult(
+                            value, int(nc[i - lo, 0]) - first[i] + j,
+                            0.0 if exact[i]
+                            else t_next / (1.0 - t_next / t_last),
+                            exact[i])
+                    if len(stops) == hi - lo:
+                        break
+                    going = (np.isfinite(terms[:, -1])
+                             & np.isfinite(sums[:, -1]))
+                    if not going.all():
+                        if stopped is not None:
+                            going |= stopped
+                        for i in (~going).nonzero()[0].tolist():
+                            ended.append(lo + i)
+                            results[place[lo + i]] = DomainError(
+                                "series term or partial sum overflows "
+                                "float64; exponents are too large")
+                    tc[:, 0] = terms[:, -1]
+                    sc[:, 0] = sums[:, -1]
+                    nc += m
+                    # A group of the steady size is one row, which runs on
+                    # while its blocks stay whole.
+                    if (m < _BLOCK_MAX or (ended and ended[-1] == lo)
+                            or nc[0, 0] + m > MAX_TERMS + 1):
+                        break
+                    idx += m
+                    k += m
+                    far += m
+        if len(ended) == len(place):
+            return results
+        if ended:
+            going = np.ones(len(place), dtype=bool)
+            going[ended] = False
+            state = state[going]
+            columns = [state[:, j:j + 1] for j in range(state.shape[1])]
+            going = going.tolist()
+            place, first, exact = ([x for x, kept in zip(xs, going) if kept]
+                                   for xs in (place, first, exact))
+        far += block
         block = min(block * 2, _BLOCK_MAX)
 
-    raise ConvergenceError(
-        f"series did not meet the stopping criterion within {MAX_TERMS} terms "
-        f"(z = {z} too close to 1)",
-        partial_value=total, terms_used=n_next - first)
+
+def _sum_one(nums, dens, z: float, skip_first: bool = False) -> SeriesResult:
+    """One series, the one-row batch of ``_sum_pfq``, raising its error."""
+    (result,) = _sum_pfq([(nums, dens, z, skip_first)])
+    if isinstance(result, GaussGapError):
+        raise result
+    return result
 
 
 def _check_lower(params, label: str) -> None:
@@ -211,7 +335,7 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> SeriesResult:
     if not 0.0 <= z < 1.0:
         raise DomainError(f"hyp2f1 requires z in [0, 1), got {z}; "
                           "use hyp2f1_at_one for z = 1")
-    return _sum_pfq((a, b), (c,), z)
+    return _sum_one((a, b), (c,), z)
 
 
 def hyp2f1_minus_one(a: float, b: float, c: float, z: float) -> SeriesResult:
@@ -223,7 +347,7 @@ def hyp2f1_minus_one(a: float, b: float, c: float, z: float) -> SeriesResult:
     _check_lower((c,), "hyp2f1 lower")
     if not 0.0 <= z < 1.0:
         raise DomainError(f"hyp2f1_minus_one requires z in [0, 1), got {z}")
-    return _sum_pfq((a, b), (c,), z, skip_first=True)
+    return _sum_one((a, b), (c,), z, skip_first=True)
 
 
 def hyp2f1_at_one(a: float, b: float, c: float) -> float:
@@ -286,7 +410,7 @@ def hyp3f2(a1: float, a2: float, a3: float, b1: float, b2: float,
     _check_lower((b1, b2), "hyp3f2 lower")
     if not 0.0 <= z < 1.0:
         raise DomainError(f"hyp3f2 requires z in [0, 1), got {z}")
-    return _sum_pfq((a1, a2, a3), (b1, b2), z)
+    return _sum_one((a1, a2, a3), (b1, b2), z)
 
 
 def hyp_integral_rep(a1: float, a2: float, a3: float, b1: float, b2: float,
@@ -311,7 +435,7 @@ def hyp_integral_rep(a1: float, a2: float, a3: float, b1: float, b2: float,
 
     def integrand(t: float) -> float:
         weight = t ** (a3 - 1.0) * (1.0 - t) ** (b2 - a3 - 1.0)
-        return weight * _sum_pfq((a1, a2), (b1,), z * t).value
+        return weight * _sum_one((a1, a2), (b1,), z * t).value
 
     res = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-9,
                limit=200, full_output=1)

@@ -4,10 +4,14 @@ A sweep walks the cross product of the configured parameter lists, checks
 every point against its applicable gap bound, optionally compares the
 closed-form moment against the quadrature and Monte Carlo oracles, and
 emits one ``ReportRow`` per point in deterministic grid order.  A sweep
-follows the closed form P(sigma, alpha) * F(-a1/2, -a2/2; 1/2; rho^2):
-its ``KeyTable`` computes P and the bound's rho-free factors once per
-(sigma1, sigma2, alpha1, alpha2) and F - 1 and F once per (alpha1,
-alpha2, rho^2), and each row is composed from them.
+follows the closed form P(sigma, alpha) * F(-a1/2, -a2/2; 1/2; rho^2).
+Each chunk of the grid fills a ``KeyTable`` before it composes any row:
+P and the bound's rho-free factors once per (sigma1, sigma2, alpha1,
+alpha2), then F - 1 and F once per (alpha1, alpha2, rho^2), all of the
+chunk's series in one batched sum.  A row's core, everything but its
+index, correlation and oracle columns, is composed once per (sigma1,
+sigma2, alpha1, alpha2, |rho|) and shared by both signs of rho;
+``evaluate_point`` adds the point's own columns.
 
 The fields of ``ReportRow`` are the output columns, in order: rows
 serialize to JSON lines with every field, or to CSV with a chosen list of
@@ -259,43 +263,126 @@ def _outcome(fn, *args):
 
 
 class KeyTable:
-    """The per-key factors of one sweep's rows, after the closed form
-    P(sigma, alpha) * F(-a1/2, -a2/2; 1/2; rho^2).
+    """The factors of one chunk's rows, after the closed form
+    P(sigma, alpha) * F(-a1/2, -a2/2; 1/2; rho^2), and the rows' cores.
 
     P and the rho-free bound factors depend on (sigma1, sigma2, alpha1,
-    alpha2) only, F - 1 and F on (alpha1, alpha2, rho^2) only.  Each is
-    computed the first time a point needs it, through the module
-    attributes of ``moments`` and ``bounds``, and kept for the rest of the
-    table's life as its value or as the ``GaussGapError`` it raised (see
-    ``_outcome``).
+    alpha2) only, F - 1 and F on (alpha1, alpha2, rho^2) only.  All of
+    them are computed when the table is built, through the module
+    attributes of ``moments`` and ``bounds``, before any row is composed:
+    first P and the bound factors per scale key, then every series key
+    the rows read in one ``moments.series_factors`` batch.  A row reads
+    the bound factors where P is finite, or at rho = 0, where its gap is
+    0 without P; a scale key that no row reads them for has none.  Each
+    entry is kept as its value or as the ``GaussGapError`` it raised (see
+    ``_outcome``).  A point whose key the table was not built with has
+    no entry.
     """
 
-    def __init__(self):
-        self._scales = {}
-        self._series = {}
+    def __init__(self, specs):
+        firsts, at_zero = {}, set()
+        for spec in specs:
+            key = (spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2)
+            firsts.setdefault(key, spec)
+            if spec.rho == 0.0:
+                at_zero.add(key)
+        self._p, self._factors = {}, {}
+        for key, spec in firsts.items():
+            p = self._p[key] = _outcome(moments_mod.product_of_marginals,
+                                        spec)
+            if not isinstance(p, GaussGapError) or key in at_zero:
+                self._factors[key] = _outcome(bounds_mod.bound_factors, spec)
+        wanted = {}
+        for spec in specs:
+            if not isinstance(self.scale(spec), GaussGapError):
+                a1, a2, z = spec.alpha1, spec.alpha2, spec.rho * spec.rho
+                if spec.rho != 0.0:
+                    wanted[a1, a2, z, True] = None
+                wanted[a1, a2, z, False] = None
+        self._series = dict(zip(wanted,
+                                moments_mod.series_factors(list(wanted))))
+        self._cores = {}
 
-    def scale(self, spec: MomentSpec) -> tuple:
-        """(P, ``bounds.bound_factors``), each a value or its error; the
-        factors are computed after P."""
-        key = (spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2)
-        try:
-            return self._scales[key]
-        except KeyError:
-            p = _outcome(moments_mod.product_of_marginals, spec)
-            entry = self._scales[key] = (
-                p, _outcome(bounds_mod.bound_factors, spec))
-            return entry
+    def scale(self, spec: MomentSpec):
+        """P, ``moments.product_of_marginals``, or its error."""
+        return self._p[spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2]
+
+    def factors(self, spec: MomentSpec):
+        """``bounds.bound_factors`` or its error; only where P is finite or
+        a row sits at rho = 0."""
+        return self._factors[spec.sigma1, spec.sigma2, spec.alpha1,
+                             spec.alpha2]
 
     def series(self, spec: MomentSpec, minus_one: bool):
         """``moments.series_factor``: F - 1 when ``minus_one``, else F, or
-        its error."""
-        key = (spec.alpha1, spec.alpha2, spec.rho * spec.rho, minus_one)
+        its error.  Only where P is finite, and F - 1 only at rho != 0."""
+        return self._series[spec.alpha1, spec.alpha2, spec.rho * spec.rho,
+                            minus_one]
+
+    def core(self, spec: MomentSpec) -> tuple:
+        """The point's ``ReportRow`` fields from ``regime`` to ``slack``,
+        then its flags before any oracle's, composed once per (sigma1,
+        sigma2, alpha1, alpha2, |rho|).  Every step from rho is even in
+        it, bit for bit: rho * rho, rho == 0, and the bound's
+        a1 * a2 * rho * rho, a rounded product that only changes sign
+        with rho.  Not per rho^2, which rounds tiny correlations together
+        (to 0 below about 1.5e-162) where that product does not."""
+        key = (spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2,
+               abs(spec.rho))
         try:
-            return self._series[key]
+            return self._cores[key]
         except KeyError:
-            value = self._series[key] = _outcome(moments_mod.series_factor,
-                                                 spec, minus_one)
-            return value
+            core = self._cores[key] = self._compose(spec)
+            return core
+
+    def _compose(self, spec: MomentSpec) -> tuple:
+        """``core`` from the table's factors, with the compositions of
+        ``bounds.check_point`` and ``moments.product_moment`` and their
+        order of errors: P before F, the gap before its bound, and no P
+        for the gap at rho = 0."""
+        p = self.scale(spec)
+        p_failed = isinstance(p, GaussGapError)
+        if spec.rho == 0.0:
+            g = 0.0
+        elif p_failed:
+            g = p
+        else:
+            g = self.series(spec, True)
+            if not isinstance(g, GaussGapError):
+                try:
+                    g = moments_mod.gap_from(p, g)
+                except GaussGapError as exc:
+                    g = exc
+        if isinstance(g, GaussGapError):
+            report = bounds_mod.error_report(math.nan, g)
+        else:
+            report = bounds_mod.check_gap(g, spec, self.factors(spec))
+        flags = report.flags
+
+        moment = p
+        if not p_failed:
+            moment = self.series(spec, False)
+            if not isinstance(moment, GaussGapError):
+                try:
+                    moment = moments_mod.moment_from(p, moment).value
+                except GaussGapError as exc:
+                    moment = exc
+        if isinstance(moment, GaussGapError):
+            flags += (bounds_mod.error_flag(moment),)
+            moment = None
+
+        bound = report.bound
+        case_tag = bound_lower = bound_upper = finite_lower = None
+        if bound is not None:
+            case_tag, bound_lower = bound.case_tag, bound.lower
+            finite_lower = bound.finite_lower
+            if bound.upper < math.inf:
+                bound_upper = bound.upper
+            if bound.swapped:
+                flags += ("swapped",)
+        return (report.regime, case_tag, moment, report.gap, bound_lower,
+                bound_upper, finite_lower, report.satisfied, report.slack,
+                flags)
 
 
 def evaluate_point(spec: MomentSpec, index: int,
@@ -306,53 +393,14 @@ def evaluate_point(spec: MomentSpec, index: int,
     """Check one grid point and attach any requested oracle columns.
 
     The row holds ``bounds.check_point(spec)`` and
-    ``moments.product_moment(spec).value``, built from the factors in
-    ``table`` (a fresh one when None) with the same compositions and the
-    same order of errors: P before F, the gap before its bound, and no P
-    for the gap at rho = 0.
+    ``moments.product_moment(spec).value``, from the core that ``table``
+    (built over the point's chunk, or over the point alone when None)
+    composes, and the point's own index, correlation and oracle columns.
     """
     if table is None:
-        table = KeyTable()
-    p, factors = table.scale(spec)
-    p_failed = isinstance(p, GaussGapError)
-    if spec.rho == 0.0:
-        g = 0.0
-    elif p_failed:
-        g = p
-    else:
-        g = table.series(spec, True)
-        if not isinstance(g, GaussGapError):
-            try:
-                g = moments_mod.gap_from(p, g)
-            except GaussGapError as exc:
-                g = exc
-    if isinstance(g, GaussGapError):
-        report = bounds_mod.error_report(math.nan, g)
-    else:
-        report = bounds_mod.check_gap(g, spec, factors)
-    flags = report.flags
-
-    moment = p
-    if not p_failed:
-        moment = table.series(spec, False)
-        if not isinstance(moment, GaussGapError):
-            try:
-                moment = moments_mod.moment_from(p, moment).value
-            except GaussGapError as exc:
-                moment = exc
-    if isinstance(moment, GaussGapError):
-        flags += (bounds_mod.error_flag(moment),)
-        moment = None
-
-    bound = report.bound
-    case_tag = bound_lower = bound_upper = finite_lower = None
-    if bound is not None:
-        case_tag, bound_lower = bound.case_tag, bound.lower
-        finite_lower = bound.finite_lower
-        if bound.upper < math.inf:
-            bound_upper = bound.upper
-        if bound.swapped:
-            flags += ("swapped",)
+        table = KeyTable((spec,))
+    (regime, case_tag, moment, gap, bound_lower, bound_upper, finite_lower,
+     satisfied, slack, flags) = table.core(spec)
 
     quad_value = quad_error = quad_dev = None
     mc_value = mc_error = mc_dev = None
@@ -381,19 +429,19 @@ def evaluate_point(spec: MomentSpec, index: int,
 
     # positional, in the order of the ReportRow fields
     return ReportRow(index, spec.sigma1, spec.sigma2, spec.alpha1,
-                     spec.alpha2, spec.rho, report.regime, case_tag, moment,
-                     report.gap, bound_lower, bound_upper, finite_lower,
-                     report.satisfied, report.slack, quad_value, quad_error,
-                     quad_dev, mc_value, mc_error, mc_dev, flags)
+                     spec.alpha2, spec.rho, regime, case_tag, moment, gap,
+                     bound_lower, bound_upper, finite_lower, satisfied, slack,
+                     quad_value, quad_error, quad_dev, mc_value, mc_error,
+                     mc_dev, flags)
 
 
 def _evaluate_chunk(specs: list[MomentSpec], start: int,
                     oracle: OracleChoice, mc_samples: int,
                     master_seed: int) -> list[ReportRow]:
-    """Rows of consecutive grid points from index ``start`` on, sharing
-    one ``KeyTable``; each point goes through the ``evaluate_point``
-    module attribute."""
-    table = KeyTable()
+    """Rows of consecutive grid points from index ``start`` on, from one
+    ``KeyTable`` built over them all; each point goes through the
+    ``evaluate_point`` module attribute."""
+    table = KeyTable(specs)
     return [evaluate_point(spec, index, oracle, mc_samples, master_seed,
                            table)
             for index, spec in enumerate(specs, start)]

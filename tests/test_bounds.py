@@ -337,7 +337,7 @@ class TestRhoFreeFactorCaches:
 
     @staticmethod
     def _bounds(specs):
-        table = verify.KeyTable()
+        table = verify.KeyTable(specs)
         return [verify.evaluate_point(spec, 0, table=table) for spec in specs]
 
     def test_lower_bound_scale_shared_across_rho(self, monkeypatch):

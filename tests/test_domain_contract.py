@@ -15,14 +15,20 @@ a1 + a2 > -1, must never come back as inf.
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import gaussgap
 from gaussgap import bounds, cli, moments, oracles, verify
-from gaussgap.errors import GaussGapError
+from gaussgap.errors import DomainError, GaussGapError
 from gaussgap.types import MomentSpec
 
 SIGMAS = st.floats(1e-3, 1e3)
@@ -116,3 +122,71 @@ def test_cli_gap_exit_code(spec):
           contextlib.redirect_stderr(io.StringIO())):
         warnings.simplefilter("error")
         assert cli.main(argv) in {0, 1, 2, 3}
+
+
+# log Gamma((alpha + 1) / 2) overflows float64 for alpha above about 5e305
+HUGE = MomentSpec(1, 1, 1e308, 1, 0.5)
+LGAMMA_FLAG = "error:DomainError:lgamma(5e+307) overflows float64"
+
+
+@pytest.mark.parametrize("call", [moments.gap, moments.product_moment,
+                                  moments.product_of_marginals,
+                                  bounds.bound_factors,
+                                  lambda s: moments.abs_moment_1d(1.0, 1e308)],
+                         ids=["gap", "product_moment", "product_of_marginals",
+                              "bound_factors", "abs_moment_1d"])
+def test_huge_exponent_raises_domain_error(call):
+    with pytest.raises(DomainError, match="lgamma.*overflows float64"):
+        call(HUGE)
+
+
+@pytest.mark.parametrize("call", [bounds.check_point,
+                                  lambda s: verify.evaluate_point(s, 0)],
+                         ids=["check_point", "evaluate_point"])
+def test_huge_exponent_is_an_error_row(call):
+    report = call(HUGE)
+    assert report.regime == "error"
+    assert report.flags[0].startswith(LGAMMA_FLAG)
+
+
+def _run_gap(*args):
+    """``python -m gaussgap gap`` in a child that imports the package under
+    test, installed or not."""
+    env = dict(os.environ)
+    src = str(Path(gaussgap.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "gaussgap", "gap",
+                           "--sigma1", "1", "--sigma2", "1", *args],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+
+
+def test_cli_gap_huge_exponent_exits_two():
+    proc = _run_gap("--alpha1", "1e308", "--alpha2", "1", "--rho", "0.5")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert LGAMMA_FLAG in proc.stdout
+
+
+def test_failed_prefactor_skips_the_bound_factors(monkeypatch):
+    # G(1) of this envelope is a Chu-Vandermonde product of 1e9 factors,
+    # minutes of work that the row, which reports P's overflow, never reads
+    calls = []
+    monkeypatch.setattr(bounds, "bound_factors",
+                        lambda spec: calls.append(spec))
+    spec = MomentSpec(1, 1, 2e9, -0.5, 0.5)
+    row = verify.evaluate_point(spec, 0)
+    assert calls == []
+    assert [f.split(":")[1] for f in row.flags] == ["DomainError"] * 2
+    assert row.flags[0] == bounds.check_point(spec).flags[0]
+
+
+def test_cli_gap_failed_prefactor_exits_promptly():
+    # interpreter start-up included; the Chu-Vandermonde product would
+    # run for minutes
+    start = time.perf_counter()
+    proc = _run_gap("--alpha1", "2e9", "--alpha2=-0.5", "--rho", "0.5")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert time.perf_counter() - start < 60

@@ -304,28 +304,29 @@ class TestCorrelationFactor:
             special.hyp2f1_minus_one(-0.75, 0.25, 0.5, 0.5625)
 
     def test_other_scale_or_sign_hits(self, monkeypatch):
-        # one table: other scales and the other sign share both series
-        summed = {name: _counting(monkeypatch, special, name)
-                  for name in ("hyp2f1", "hyp2f1_minus_one")}
-        table = verify.KeyTable()
+        # one table: other scales and the other sign share both series,
+        # each summed once, as a row of one batch
+        batches = _counting(monkeypatch, special, "_sum_pfq")
         specs = [MomentSpec(s1, s2, 1.5, -0.5, rho)
                  for s1, s2, rho in [(1.0, 1.0, 0.75), (0.5, 2.0, 0.75),
                                      (2.0, 1.0, -0.75), (1.0, 1.0, -0.75)]]
+        table = verify.KeyTable(specs)
         rows = [verify.evaluate_point(spec, 0, table=table) for spec in specs]
-        for calls in summed.values():
-            assert calls == [(-0.75, 0.25, 0.5, 0.5625)]
+        assert batches == [([((-0.75, 0.25), (0.5,), 0.5625, True),
+                             ((-0.75, 0.25), (0.5,), 0.5625, False)],)]
         for spec, row in zip(specs, rows):
             assert (row.gap, row.moment) == (gap(spec),
                                              product_moment(spec).value)
 
     def test_miss_sums_through_module_attribute(self, monkeypatch):
-        calls = _counting(monkeypatch, special, "hyp2f1_minus_one")
+        batches = _counting(monkeypatch, special, "_sum_pfq")
         config = verify.SweepConfig(alpha1_values=(1.0,), alpha2_values=(3.0,),
                                     rho_values=(0.5, -0.5),
                                     sigma1_values=(1.0, 2.0),
                                     sigma2_values=(1.0,))
         rows, _ = verify.run_sweep(config)
-        assert calls == [(-0.5, -1.5, 0.5, 0.25)]
+        assert batches == [([((-0.5, -1.5), (0.5,), 0.25, True),
+                             ((-0.5, -1.5), (0.5,), 0.25, False)],)]
         first, second = rows[0], rows[3]
         assert (second.sigma1, second.rho) == (2.0, -0.5)
         assert second.gap == pytest.approx(2.0 * first.gap, rel=1e-14)
@@ -334,8 +335,13 @@ class TestCorrelationFactor:
         def no_series(*args):
             raise AssertionError(f"series called at {args}")
 
+        def no_rows(series):
+            assert not series, f"series summed: {series}"
+            return []
+
         monkeypatch.setattr(special, "hyp2f1", no_series)
         monkeypatch.setattr(special, "hyp2f1_minus_one", no_series)
+        monkeypatch.setattr(special, "_sum_pfq", no_rows)
         f_at_one = special.hyp2f1_at_one(-0.75, 0.25, 0.5)
         spec = MomentSpec(0.5, 2.0, 1.5, -0.5, -1.0)
         assert series_factor(spec, False) == \
@@ -429,15 +435,15 @@ class TestDirectSeriesLargeExponents:
 class TestPrefactor:
     def test_shared_across_rho_and_functions(self, monkeypatch):
         calls = _counting(monkeypatch, moments, "product_of_marginals")
-        table = verify.KeyTable()
         specs = [MomentSpec(0.5, 0.5, 1.5, -0.5, rho)
                  for rho in (0.0, 0.25, -0.25, 0.95, 1.0)]
+        table = verify.KeyTable(specs)
         rows = [verify.evaluate_point(spec, 0, table=table) for spec in specs]
         assert calls == [(specs[0],)]
         for spec, row in zip(specs, rows):
             assert (row.gap, row.moment) == (gap(spec),
                                              product_moment(spec).value)
-        assert table.scale(specs[0])[0] == product_of_marginals(specs[0])
+        assert table.scale(specs[0]) == product_of_marginals(specs[0])
 
 
 class TestGapDualPath:

@@ -369,15 +369,22 @@ def _reference_sum(nums, dens, z, skip_first=False):
         partial_value=total, terms_used=n - first)
 
 
-def _outcome(fn, *args, **kwargs):
+def _described(result):
     """repr of a result, or of an error with its partial sum and count,
     so that -0.0, nan and every last bit count."""
+    if isinstance(result, (ConvergenceError, DomainError)):
+        return repr((type(result).__name__, str(result),
+                     getattr(result, "partial_value", None),
+                     getattr(result, "terms_used", None)))
+    return repr(tuple(result))
+
+
+def _outcome(fn, *args, **kwargs):
+    """``_described`` of what ``fn(*args, **kwargs)`` returns or raises."""
     try:
-        return repr(tuple(fn(*args, **kwargs)))
+        return _described(fn(*args, **kwargs))
     except (ConvergenceError, DomainError) as exc:
-        return repr((type(exc).__name__, str(exc),
-                     getattr(exc, "partial_value", None),
-                     getattr(exc, "terms_used", None)))
+        return _described(exc)
 
 
 class TestBlockKernelBitForBit:
@@ -404,8 +411,7 @@ class TestBlockKernelBitForBit:
     ])
     @pytest.mark.parametrize("skip_first", [False, True])
     def test_cases(self, nums, dens, z, skip_first):
-        assert (_outcome(special._sum_pfq, nums, dens, z,
-                         skip_first=skip_first)
+        assert (_outcome(special._sum_one, nums, dens, z, skip_first)
                 == _outcome(_reference_sum, nums, dens, z, skip_first))
 
     def test_random_sums(self):
@@ -419,6 +425,46 @@ class TestBlockKernelBitForBit:
                 dens.append(rng.uniform(0.1, 4))
             z = rng.choice([rng.random(), 1 - 10 ** rng.uniform(-6, -1)])
             skip_first = rng.random() < 0.5
-            assert (_outcome(special._sum_pfq, nums, dens, z,
-                             skip_first=skip_first)
+            assert (_outcome(special._sum_one, nums, dens, z, skip_first)
                     == _outcome(_reference_sum, nums, dens, z, skip_first))
+
+    def test_random_batch(self):
+        # 150 rows, about 4 to a group of the 64-term first block, mixing
+        # F and F - 1 rows, polynomials, subnormal and zero arguments,
+        # zero first terms, overflows and rows that reach the term cap
+        rng = random.Random(16)
+        series = []
+        for _ in range(150):
+            kind = rng.randrange(6)
+            if kind == 0:
+                a = -float(rng.randint(0, 800))
+            elif kind == 1:
+                a = rng.choice([1e150, 300.5])
+            else:
+                a = rng.uniform(-3, 10)
+            b = rng.choice([rng.uniform(-3, 10), -0.05, 0.0])
+            z = rng.choice([rng.random(), 1 - 10 ** rng.uniform(-6, -1),
+                            5e-324, 0.0, 0.999])
+            series.append(((a, b), (rng.uniform(0.1, 4),), z,
+                           rng.random() < 0.5))
+        assert special._BLOCK_MAX // special._BLOCK_START < len(series)
+        got = [_described(r) for r in special._sum_pfq(series)]
+        want = [_outcome(_reference_sum, *s) for s in series]
+        assert got == want
+        kinds = {w.split("'")[1] if w.startswith("('") else "result"
+                 for w in want}
+        assert kinds == {"result", "DomainError", "ConvergenceError"}
+
+    def test_batch_of_three_term_series(self):
+        rng = random.Random(3)
+        series = [((rng.uniform(-2, 4), rng.uniform(-2, 4), -7.0 * i),
+                   (rng.uniform(0.1, 4), rng.uniform(0.1, 4)),
+                   rng.choice([0.5, 0.993]), i % 2 == 1) for i in range(12)]
+        assert ([_described(r) for r in special._sum_pfq(series)]
+                == [_outcome(_reference_sum, *s) for s in series])
+
+    def test_errors_are_unraised(self):
+        results = special._sum_pfq([((-0.075, -0.05), (0.5,), 0.999, False),
+                                    ((1e150, 1e150), (1.0,), 0.5, True)])
+        assert [type(r) for r in results] == [ConvergenceError, DomainError]
+        assert all(r.__traceback__ is None for r in results)

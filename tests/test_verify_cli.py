@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import gaussgap
 from gaussgap import bounds, cli, moments, special, verify
-from gaussgap.errors import ConvergenceError, DomainError
+from gaussgap.errors import ConvergenceError, DomainError, GaussGapError
 from gaussgap.types import MomentSpec
 from gaussgap.verify import (CSV_COLUMNS, KeyTable, OracleChoice, ReportRow,
                              RowWriter, SweepConfig, evaluate_point,
@@ -239,16 +239,11 @@ class TestWarmSweepBytes:
 
     @staticmethod
     def _fail_at_095(monkeypatch):
-        """Series for alpha1 = 1.5 at rho^2 = 0.95^2 raise ConvergenceError."""
-        for name in ("hyp2f1", "hyp2f1_minus_one"):
-            summed = getattr(special, name)
-
-            def patched(a, b, c, z, summed=summed):
-                if a == -0.75 and z == 0.95 * 0.95:
-                    raise ConvergenceError(f"patched at z = {z}")
-                return summed(a, b, c, z)
-
-            monkeypatch.setattr(special, name, patched)
+        """Series for alpha1 = 1.5 at rho^2 = 0.95^2 end in
+        ConvergenceError."""
+        _failing_series(monkeypatch, lambda nums, dens, z, skip_first:
+                        nums[0] == -0.75 and z == 0.95 * 0.95
+                        and f"patched at z = {z}")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_warm_sweep_writes_cold_bytes(self, fmt, tmp_path, monkeypatch,
@@ -284,6 +279,89 @@ class TestWarmSweepBytes:
                    for f in flags)
         assert any(any(x.startswith("error:DomainError:") for x in f)
                    for f in flags)
+
+
+class TestRowCore:
+    """A chunk composes each row's core once per (sigma1, sigma2, alpha1,
+    alpha2, |rho|), and every row is still the row of its own
+    ``bounds.check_point`` and ``moments.product_moment``."""
+
+    # Both zeros; the smallest subnormal and both signs of 1.5e-162, whose
+    # squares are both 0 while a1 a2 rho rho of the default grid's 4.5 is
+    # not; both signs of 0.5 and 1.  alpha = 200 overflows P, alpha = 0 is
+    # trivial.
+    ARGS = ["--alpha1=0,1.5,4.5,200", "--alpha2=-0.5,3,4.5,200",
+            "--rho=0,-0.0,5e-324,1.5e-162,-1.5e-162,0.5,-0.5,1,-1",
+            "--sigma1=0.5,2", "--sigma2=1"]
+    CONFIG = SweepConfig(alpha1_values=(0.0, 1.5, 4.5, 200.0),
+                         alpha2_values=(-0.5, 3.0, 4.5, 200.0),
+                         rho_values=(0.0, -0.0, 5e-324, 1.5e-162, -1.5e-162,
+                                     0.5, -0.5, 1.0, -1.0),
+                         sigma1_values=(0.5, 2.0), sigma2_values=(1.0,))
+
+    @staticmethod
+    def _point_row(spec, index):
+        """The row from ``check_point`` and ``product_moment`` alone."""
+        report = bounds.check_point(spec)
+        flags = report.flags
+        try:
+            moment = moments.product_moment(spec).value
+        except GaussGapError as exc:
+            moment = None
+            flags += (bounds.error_flag(exc),)
+        bound = report.bound
+        case_tag = lower = upper = finite_lower = None
+        if bound is not None:
+            case_tag, lower = bound.case_tag, bound.lower
+            finite_lower = bound.finite_lower
+            upper = bound.upper if bound.upper < math.inf else None
+            if bound.swapped:
+                flags += ("swapped",)
+        return ReportRow(index, spec.sigma1, spec.sigma2, spec.alpha1,
+                         spec.alpha2, spec.rho, report.regime, case_tag,
+                         moment, report.gap, lower, upper, finite_lower,
+                         report.satisfied, report.slack, None, None, None,
+                         None, None, None, flags)
+
+    def test_rows_are_the_point_calls(self, monkeypatch):
+        composed = []
+        compose = KeyTable._compose
+
+        def counting(table, spec):
+            composed.append(spec)
+            return compose(table, spec)
+
+        monkeypatch.setattr(KeyTable, "_compose", counting)
+        grid = self.CONFIG.grid()
+        rows, _ = run_sweep(self.CONFIG, jobs=1)
+        # repr, so that -0.0 and nan count
+        assert [repr(r) for r in rows] == [
+            repr(self._point_row(spec, i)) for i, spec in enumerate(grid)]
+        # -0.0 shares the core of 0.0 and -rho that of rho
+        assert len(composed) == len(grid) * 5 // 9
+        # the tiny correlations keep their own bound ends
+        tiny = {r.rho: r.bound_lower for r in rows
+                if (r.sigma1, r.alpha1, r.alpha2) == (0.5, 4.5, 4.5)}
+        assert tiny[5e-324] == 0.0 < tiny[1.5e-162] == tiny[-1.5e-162]
+        regimes = {r.regime for r in rows}
+        assert regimes == {"trivial", "same-sign", "opposite-sign", "error"}
+        assert any(r.gap == 0.0 and r.regime == "error" for r in rows)
+        assert any(math.isnan(r.gap) for r in rows)
+
+    @pytest.mark.parametrize("oracle", ["none", "mc"])
+    def test_same_bytes_across_jobs(self, oracle, tmp_path, capsys):
+        written = []
+        for jobs in ("1", "2"):
+            out_file = tmp_path / f"rows-{jobs}.jsonl"
+            code, _, _ = run_cli(["verify", *self.ARGS, "--oracle", oracle,
+                                  "--mc-samples", "1000", "--jobs", jobs,
+                                  "--output", str(out_file)], capsys)
+            assert code == 0
+            written.append(out_file.read_bytes())
+        assert written[0] == written[1]
+        if oracle == "mc":
+            assert b'"oracle_mc_value":null' in written[0]
+            assert b'"oracle_mc_value":0' in written[0]
 
 
 class TestSerialization:
@@ -412,10 +490,23 @@ def test_stored_key_error_has_no_traceback(monkeypatch):
     # near rho = 1 the sum needs far more than 5,000 terms; the stored
     # error must not keep the failed sum's frames and numpy blocks alive
     monkeypatch.setattr(special, "MAX_TERMS", 5_000)
+    batches = []
+    summed = special._sum_pfq
+
+    def counting(series):
+        batches.append(series)
+        return summed(series)
+
+    monkeypatch.setattr(special, "_sum_pfq", counting)
     specs = [MomentSpec(s1, 1, -0.3, -0.2, 0.999) for s1 in (0.5, 2.0)]
-    table = KeyTable()
+    table = KeyTable(specs)
+    # one sum per key, in one batch, before any row
+    z = 0.999 * 0.999
+    assert batches == [[((0.15, 0.1), (0.5,), z, True),
+                        ((0.15, 0.1), (0.5,), z, False)]]
     rows = [evaluate_point(spec, i, table=table)
             for i, spec in enumerate(specs)]
+    assert len(batches) == 1
     for row in rows:
         assert [f.split(":")[1] for f in row.flags] == [
             "ConvergenceError"] * 2
@@ -423,20 +514,27 @@ def test_stored_key_error_has_no_traceback(monkeypatch):
         stored = table.series(specs[1], minus_one)
         assert isinstance(stored, ConvergenceError)
         assert stored.__traceback__ is None
-    p, factors = table.scale(specs[0])
-    assert p == moments.product_of_marginals(specs[0])
-    assert factors == bounds.bound_factors(specs[0])
+    assert table.scale(specs[0]) == moments.product_of_marginals(specs[0])
+    assert table.factors(specs[0]) == bounds.bound_factors(specs[0])
 
 
 def test_stored_scale_error_has_no_traceback():
-    table = KeyTable()
-    spec = MomentSpec(1, 1, 200, 200, 0.5)
-    row = evaluate_point(spec, 0, table=table)
-    p, factors = table.scale(spec)
+    # the row at rho = 0 reads the bound factors, so the table computes
+    # them though P failed, and they fail on their own
+    specs = [MomentSpec(1, 1, 200, 200, 0.5), MomentSpec(1, 1, 200, 200, 0.0)]
+    table = KeyTable(specs)
+    rows = [evaluate_point(spec, 0, table=table) for spec in specs]
+    p, factors = table.scale(specs[0]), table.factors(specs[0])
+    assert factors is not p
+    with pytest.raises(DomainError) as raised:
+        bounds.bound_factors(specs[0])
+    assert str(factors) == str(raised.value)
     for stored in (p, factors):
         assert isinstance(stored, DomainError)
         assert stored.__traceback__ is None
-    assert row.flags == (f"error:DomainError:{p}",) * 2
+    assert rows[0].flags == (f"error:DomainError:{p}",) * 2
+    assert rows[1].flags == (f"error:DomainError:{factors}",
+                             f"error:DomainError:{p}")
 
 
 class TestCliMoment:
@@ -524,10 +622,8 @@ class TestCliGap:
         assert record["flags"][0].startswith("error:DomainError:")
 
     def test_convergence_error_exits_three(self, capsys, monkeypatch):
-        def no_convergence(a, b, c, z):
-            raise ConvergenceError("patched")
-
-        monkeypatch.setattr(special, "hyp2f1_minus_one", no_convergence)
+        _failing_series(monkeypatch, lambda nums, dens, z, skip_first:
+                        skip_first and "patched")
         code, out, _ = run_cli(["gap", "--alpha1", "1", "--alpha2", "1",
                                 "--rho", "0.5"], capsys)
         assert code == 3
@@ -732,17 +828,23 @@ def test_invalid_arguments_create_no_output(argv, tmp_path, capsys):
     assert not out_file.exists()
 
 
+def _failing_series(monkeypatch, message):
+    """Rows of the ``special._sum_pfq`` batches for which
+    ``message(nums, dens, z, skip_first)`` gives a message end in a
+    ConvergenceError with it."""
+    summed = special._sum_pfq
+
+    def patched(series):
+        return [ConvergenceError(text) if (text := message(*row)) else result
+                for row, result in zip(series, summed(series))]
+
+    monkeypatch.setattr(special, "_sum_pfq", patched)
+
+
 def _series_fail_from(monkeypatch, z_min):
-    """Both series raise ConvergenceError at z >= z_min."""
-    for name in ("hyp2f1", "hyp2f1_minus_one"):
-        summed = getattr(special, name)
-
-        def patched(a, b, c, z, summed=summed):
-            if z >= z_min:
-                raise ConvergenceError(f"patched at z = {z}")
-            return summed(a, b, c, z)
-
-        monkeypatch.setattr(special, name, patched)
+    """Both series end in ConvergenceError at z >= z_min."""
+    _failing_series(monkeypatch, lambda nums, dens, z, skip_first:
+                    z >= z_min and f"patched at z = {z}")
 
 
 class TestExitCodes:
