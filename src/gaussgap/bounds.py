@@ -80,7 +80,8 @@ def bound_factors(spec: MomentSpec
     G(1) = F(1 - a1/2, 1 - a2/2; 3/2; 1), or None where it diverges.  The
     envelope scale sums its logs in one pass, the main branch groups the
     Gamma terms: they may differ in the last bit.  Raises ``DomainError``
-    where the scale, a log-Gamma or G(1) overflows float64.
+    where a log-Gamma, the scale or G(1) overflows float64, the first of
+    them in that order.
     """
     sigma1, sigma2, a1, a2 = spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2
     if a1 == 0.0 or a2 == 0.0:
@@ -93,13 +94,15 @@ def bound_factors(spec: MomentSpec
     lg1 = special.log_gamma(0.5 * (a1 + 1.0))
     lg2 = special.log_gamma(0.5 * (a2 + 1.0))
     if a1 * a2 < 0:
+        # the scale first: where it overflows, G(1) (a product of about
+        # a1/2 factors for an even a1) is not computed
+        scale = special.exp_of_log(log_scale + lg1 + lg2 - _LOG_2PI)
         try:
             g_at_one = special.hyp2f1_at_one(1.0 - 0.5 * a1, 1.0 - 0.5 * a2,
                                              1.5)
         except SeriesDivergenceError:
             g_at_one = None
-        return (special.exp_of_log(log_scale + lg1 + lg2 - _LOG_2PI), None,
-                g_at_one, swapped)
+        return scale, None, g_at_one, swapped
     if _mixed_magnitude(a1, a2):
         case = "MixedMagnitude"
         log_scale += (special.log_gamma(0.5 * (a1 + a2 - 1.0))

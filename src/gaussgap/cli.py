@@ -136,9 +136,7 @@ def cmd_verify(args) -> int:
     grid = config.grid()
     with _output(args.output) as stream:
         rows, summary = run_sweep(config, jobs, grid)
-        writer = RowWriter(stream, args.format)
-        for row in rows:
-            writer.write(row)
+        RowWriter(stream, args.format).write_rows(rows)
 
     summary_line = ("checked={checked} satisfied={satisfied} "
                     "violations={violations} vacuous_lower={vacuous_lower} "
@@ -159,10 +157,8 @@ def cmd_curve(args) -> int:
     grid = config.grid()
     with _output(args.output) as stream:
         rows, _ = run_sweep(config, grid=grid)
-        writer = RowWriter(stream, "csv",
-                           ("rho", "gap", "bound_lower", "bound_upper"))
-        for row in rows:
-            writer.write(row)
+        RowWriter(stream, "csv", ("rho", "gap", "bound_lower",
+                                  "bound_upper")).write_rows(rows)
     return _exit_code(rows)
 
 

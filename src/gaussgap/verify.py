@@ -18,12 +18,15 @@ serialize to JSON lines with every field, or to CSV with a chosen list of
 columns.  Missing oracle values are explicit nulls and infinite sentinels
 become the strings "+inf" / "-inf" so the output stays portable; CSV
 cells holding a comma, a quote or a line break are quoted (RFC 4180).
-``RowWriter`` streams rows in either format, one fixed layout per format:
-a row is its cells joined by commas, and each column encodes a distinct
-value once per writer, keyed by ``(type, value)``.  Its bytes are those
-of ``row_to_dict`` and the compact JSON encoder (or of the CSV cell
-rule) at a fraction of the cost: the default grid writes about 76,000
-floats, of which about 8,600 are distinct in their column.
+``RowWriter`` streams rows in either format, one fixed layout per format,
+a chunk of rows and a column at a time: each column encodes a distinct
+value once per writer, keyed by the value while the column's numbers
+keep one type (a chunk with another is encoded without the memo), and a
+chunk's lines are joined and written at once.  Its bytes are those of ``row_to_dict``
+and the compact JSON encoder (or of the CSV cell rule) at a fraction of
+the cost: the default grid writes about 76,000 floats, of which about
+8,600 are distinct in their column.  ``summarize`` counts a sweep's
+rows in one pass.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from . import bounds as bounds_mod
@@ -184,10 +187,10 @@ def _csv_text(value) -> str:
 
 
 def _reusable(value) -> bool:
-    """Whether a value's text may be stored under ``(type(value), value)``:
-    not a float zero, since 0.0 and -0.0 share a key, nor a NaN, which
-    equals no key, nor a tuple holding anything but strings, nor an int,
-    the index, which never repeats."""
+    """Whether a value's text may be stored under its key: not a float
+    zero, since 0.0 and -0.0 are one key, nor a NaN, which equals no key,
+    nor a tuple holding anything but strings, nor an int, the index, which
+    never repeats."""
     if isinstance(value, float):
         return value == value and value != 0.0
     if isinstance(value, tuple):
@@ -195,24 +198,51 @@ def _reusable(value) -> bool:
     return type(value) is not int
 
 
-class _Column(dict):
-    """The cells of one column in one writer, ``prefix`` and the text of
-    the value, stored by ``(type, value)`` so that True, 1 and 1.0 stay
-    apart (see ``_reusable``)."""
+# Types none of whose values equals a value of another type in a row.
+_NEVER_EQUAL = frozenset((type(None), str, tuple))
+_NUMBERS = frozenset((int, float, bool))
 
-    def __init__(self, prefix: str, encode):
+
+class _Column(dict):
+    """The cells of one column in one writer: a value's text between what
+    precedes it on the line (a comma or the line's opening, and in JSON
+    the name) and what follows it (the line's end, in the last column),
+    stored by the value for the writer's life (see ``_reusable``).
+
+    True, 1 and 1.0 are one key with three texts, so the stored numbers
+    keep one type: the first that a chunk holds alone among int, float
+    and bool.  A chunk holding any other number type is encoded cell by
+    cell without the memo.
+    """
+
+    def __init__(self, before: str, encode, after: str):
         super().__init__()
-        self._prefix = prefix
-        self._encode = encode
+        self._before, self._encode, self._after = before, encode, after
+        self._number = None  # the one number type stored, once pinned
 
     def cell(self, value) -> str:
-        return self._prefix + self._encode(value)
+        return self._before + self._encode(value) + self._after
 
-    def __missing__(self, key):
-        text = self._prefix + self._encode(key[1])
-        if _reusable(key[1]):
-            self[key] = text
+    def __missing__(self, value):
+        text = self.cell(value)
+        if _reusable(value):
+            self[value] = text
         return text
+
+    def cells(self, values) -> list[str]:
+        numbers = set(map(type, values)) - _NEVER_EQUAL
+        if self._number is None and len(numbers) == 1 and numbers <= _NUMBERS:
+            (self._number,) = numbers
+        if numbers <= {self._number}:
+            try:
+                return list(map(self.__getitem__, values))
+            except TypeError:  # an unhashable value
+                pass
+        return list(map(self.cell, values))
+
+
+# Rows that a writer encodes and writes at once: it bounds the text held.
+WRITE_CHUNK = 512
 
 
 class RowWriter:
@@ -220,10 +250,11 @@ class RowWriter:
     as ``row_to_dict`` and the compact JSON encoder give it) or as CSV
     (a header, then the chosen ``columns``).
 
-    A row is its cells joined by commas between a fixed opening and
-    closing; each column encodes a value once and keeps the text for the
-    writer's life (see ``_Column``), as a sweep repeats its scales,
-    exponents, correlations and many results.
+    Rows go out ``WRITE_CHUNK`` at a time: the chunk is transposed, each
+    column's values are mapped to their cells (see ``_Column``), which
+    carry the commas, names and line ends, and the chunk's cells are
+    joined and written at once.  A sweep repeats its scales, exponents,
+    correlations and many results, so most cells are found ready.
     """
 
     def __init__(self, stream, fmt: str = "json",
@@ -231,25 +262,31 @@ class RowWriter:
         self._stream = stream
         if fmt == "json":
             columns = CSV_COLUMNS
-            self._columns = [_Column(_JSON_ENCODER.encode(name) + ":",
-                                     _json_text) for name in columns]
-            self._open, self._close = "{", "}\n"
+            names = [_JSON_ENCODER.encode(name) + ":" for name in columns]
+            opening, encode, end = "{", _json_text, "}\n"
         else:
-            self._columns = [_Column("", _csv_text) for _ in columns]
-            self._open, self._close = "", "\n"
+            names = [""] * len(columns)
+            opening, encode, end = "", _csv_text, "\n"
             stream.write(",".join(columns) + "\n")
+        last = len(columns) - 1
+        self._columns = [_Column(("," if i else opening) + name, encode,
+                                 end if i == last else "")
+                         for i, name in enumerate(names)]
         # the positions of the columns, or None for the whole row
         self._pick = (None if columns == CSV_COLUMNS
                       else [CSV_COLUMNS.index(col) for col in columns])
 
     def write(self, row: ReportRow) -> None:
-        values = row if self._pick is None else [row[i] for i in self._pick]
-        try:
-            cells = ",".join(map(_Column.__getitem__, self._columns,
-                                 zip(map(type, values), values)))
-        except TypeError:  # an unhashable value
-            cells = ",".join(map(_Column.cell, self._columns, values))
-        self._stream.write(self._open + cells + self._close)
+        self.write_rows((row,))
+
+    def write_rows(self, rows) -> None:
+        """Write a sequence of rows, ``WRITE_CHUNK`` at a time."""
+        for start in range(0, len(rows), WRITE_CHUNK):
+            values = list(zip(*rows[start:start + WRITE_CHUNK]))
+            if self._pick is not None:
+                values = [values[i] for i in self._pick]
+            cells = map(_Column.cells, self._columns, values)
+            self._stream.write("".join(chain.from_iterable(zip(*cells))))
 
 
 def _outcome(fn, *args):
@@ -483,15 +520,28 @@ def run_sweep(config: SweepConfig, jobs: int = 1,
     if rows is None:
         rows = _evaluate_chunk(grid, 0, *settings)
 
-    summary = {
-        "checked": len(rows),
-        "satisfied": sum(r.satisfied for r in rows),
-        "violations": sum(1 for r in rows if not r.satisfied and not r.errored),
-        "vacuous_lower": sum(r.vacuous for r in rows),
-        "errored": sum(r.errored for r in rows),
-        "oracle_mismatches": sum(
-            1 for r in rows
-            if "oracle-quad-mismatch" in r.flags
-            or "oracle-mc-outside-4se" in r.flags),
-    }
-    return rows, summary
+    return rows, summarize(rows)
+
+
+_MISMATCH_FLAGS = frozenset(("oracle-quad-mismatch", "oracle-mc-outside-4se"))
+
+
+def summarize(rows: list[ReportRow]) -> dict:
+    """A sweep's counts, in one pass over its rows: all rows, the satisfied
+    ones, the unsatisfied ones that did not error (violations), those
+    flagged vacuous-lower, errored or with an oracle mismatch."""
+    satisfied = violations = vacuous = errored = mismatches = 0
+    for row in rows:
+        row_errored = False
+        if row.flags:  # most rows have none
+            row_errored = row.errored
+            errored += row_errored
+            vacuous += row.vacuous
+            mismatches += not _MISMATCH_FLAGS.isdisjoint(row.flags)
+        if row.satisfied:
+            satisfied += 1
+        elif not row_errored:
+            violations += 1
+    return {"checked": len(rows), "satisfied": satisfied,
+            "violations": violations, "vacuous_lower": vacuous,
+            "errored": errored, "oracle_mismatches": mismatches}

@@ -149,16 +149,16 @@ def test_huge_exponent_is_an_error_row(call):
     assert report.flags[0].startswith(LGAMMA_FLAG)
 
 
-def _run_gap(*args):
+def _run_gap(*args, timeout=120):
     """``python -m gaussgap gap`` in a child that imports the package under
-    test, installed or not."""
+    test, installed or not; killed after ``timeout`` seconds."""
     env = dict(os.environ)
     src = str(Path(gaussgap.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "gaussgap", "gap",
                            "--sigma1", "1", "--sigma2", "1", *args],
-                          capture_output=True, text=True, timeout=120,
+                          capture_output=True, text=True, timeout=timeout,
                           env=env)
 
 
@@ -190,3 +190,17 @@ def test_cli_gap_failed_prefactor_exits_promptly():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert time.perf_counter() - start < 60
+
+
+def test_cli_gap_failed_envelope_scale_exits_promptly():
+    # at rho = 0 the row reads the bound factors though P failed; their
+    # scale overflows as P does, before G(1)'s Chu-Vandermonde product of
+    # 1e9 factors could start
+    start = time.perf_counter()
+    proc = _run_gap("--alpha1", "2e9", "--alpha2=-0.5", "--rho", "0",
+                    timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    flag = "error:DomainError:value exp(2.04164e+10) overflows float64; "
+    assert flag in proc.stdout
+    assert time.perf_counter() - start < 30

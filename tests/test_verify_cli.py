@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -162,6 +163,28 @@ class TestSweep:
         rows, _ = run_sweep(config, jobs=1)
         assert any(f.startswith("oracle-mc-refused") for f in rows[0].flags)
         assert rows[0].oracle_mc_value is None
+
+    @given(st.lists(st.tuples(st.booleans(), st.lists(st.sampled_from(
+        ("error:DomainError:x", "error:ConvergenceError:y", "vacuous-lower",
+         "oracle-quad-mismatch", "oracle-mc-outside-4se", "swapped",
+         "oracle-mc-refused:DomainError")), max_size=4)), max_size=12))
+    def test_summary_counts(self, drawn):
+        rows = [ReportRow(i, *[None] * 12, satisfied, 0.0, *[None] * 6,
+                          tuple(flags))
+                for i, (satisfied, flags) in enumerate(drawn)]
+        # the definitions, one pass each
+        assert verify.summarize(rows) == {
+            "checked": len(rows),
+            "satisfied": sum(r.satisfied for r in rows),
+            "violations": sum(1 for r in rows
+                              if not r.satisfied and not r.errored),
+            "vacuous_lower": sum(r.vacuous for r in rows),
+            "errored": sum(r.errored for r in rows),
+            "oracle_mismatches": sum(
+                1 for r in rows
+                if "oracle-quad-mismatch" in r.flags
+                or "oracle-mc-outside-4se" in r.flags),
+        }
 
 
 def _written(rows, fmt, columns=CSV_COLUMNS):
@@ -442,6 +465,23 @@ def _csv_reference_cell(value) -> str:
     return str(value)
 
 
+# Values that are equal keys with different texts, and an unhashable one.
+_MIXED = (True, 1, 1.0, 0.0, -0.0, math.nan, ["u", "v"])
+
+
+@st.composite
+def _batches(draw):
+    """Rows, one column of which holds only ``_MIXED`` values, grouped into
+    the calls of one writer: a row alone for ``write``, a list for
+    ``write_rows``."""
+    name = draw(st.sampled_from(CSV_COLUMNS))
+    row = st.builds(ReportRow, *[_VALUE] * (len(CSV_COLUMNS) - 1), _FLAGS)
+    row = st.tuples(row, st.sampled_from(_MIXED)).map(
+        lambda pair: pair[0]._replace(**{name: pair[1]}))
+    return draw(st.lists(st.one_of(row, st.lists(row, max_size=7)),
+                         min_size=1, max_size=6))
+
+
 class TestRowWriter:
     ENCODER = json.JSONEncoder(separators=(",", ":"))
 
@@ -462,6 +502,32 @@ class TestRowWriter:
         assert header == list(CSV_COLUMNS)
         assert cells == [[_csv_reference_cell(v) for v in row]
                          for row in rows]
+
+    @given(_batches(), st.sampled_from(["json", "csv"]),
+           st.lists(st.sampled_from(CSV_COLUMNS), min_size=1, unique=True))
+    def test_chunks_and_calls_keep_the_bytes(self, batches, fmt, columns):
+        # chunks of 3 rows: a value's text stored from one chunk or call is
+        # served in later ones only for a value of its own type
+        stream = io.StringIO()
+        with mock.patch.object(verify, "WRITE_CHUNK", 3):
+            writer = RowWriter(stream, fmt, tuple(columns))
+            for batch in batches:
+                if isinstance(batch, list):
+                    writer.write_rows(batch)
+                else:
+                    writer.write(batch)
+        rows = [row for batch in batches
+                for row in (batch if isinstance(batch, list) else [batch])]
+        if fmt == "json":
+            assert stream.getvalue() == "".join(
+                self.ENCODER.encode(row_to_dict(row)) + "\n" for row in rows)
+            return
+        header, *cells = csv.reader(io.StringIO(stream.getvalue()))
+        assert header == columns
+        # a line of one empty cell reads back as no cell
+        assert [line or [""] for line in cells] == [
+            [_csv_reference_cell(getattr(row, col)) for col in columns]
+            for row in rows]
 
     def test_chosen_columns(self):
         row = evaluate_point(MomentSpec(1, 1, -0.5, 2, 0.5), 1)
