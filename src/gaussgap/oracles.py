@@ -164,6 +164,8 @@ def quad_product_moment(spec: MomentSpec) -> Estimate:
     s_cond = s2 * math.sqrt(det)
     inv_2cond = 1.0 / (2.0 * s_cond * s_cond)
     v_breaks_static = [(k * s2) ** p2 for k in _BREAK_SIGMAS]
+    inv_p1, inv_p2 = 1.0 / p1, 1.0 / p2
+    exp = math.exp
     # Track the largest inner error and the largest inner value actually
     # seen (both weighted by the outer marginal factor): their ratio is a
     # realistic relative-noise level for the outer integrand.
@@ -172,16 +174,23 @@ def quad_product_moment(spec: MomentSpec) -> Estimate:
 
     def inner(u: float) -> float:
         nonlocal max_weighted_err, max_weighted_val
-        x = u ** (1.0 / p1)
-        marginal = math.exp(-x * x / (2.0 * s1 * s1))
+        x = u ** inv_p1
+        marginal = exp(-x * x / (2.0 * s1 * s1))
         if marginal == 0.0:
             return 0.0
         mu = rho * s2 * x / s1
 
-        def fy(v: float) -> float:
-            y = v ** (1.0 / p2)
-            return (math.exp(-(y - mu) * (y - mu) * inv_2cond)
-                    + math.exp(-(y + mu) * (y + mu) * inv_2cond))
+        if mu == 0.0:
+            # the two sheets coincide: twice one term is their sum exactly
+            def fy(v: float) -> float:
+                y = v ** inv_p2
+                return 2.0 * exp(-y * y * inv_2cond)
+        else:
+            def fy(v: float) -> float:
+                y = v ** inv_p2
+                below, above = y - mu, y + mu
+                return (exp(-below * below * inv_2cond)
+                        + exp(-above * above * inv_2cond))
 
         # Realistic scale of this inner integral: a Gaussian bump of width
         # s_cond centered near mu, mapped through the v = y^p2 substitution.

@@ -9,21 +9,28 @@ rule (next term at most ``SERIES_EPS`` times the partial sum, and
 shrinking), so a sum whose ``SERIES_EPS`` multiple underflows to 0 stops
 at its first underflowed term.  No connection formulas are used, so
 convergence near z = 1 is genuinely slow: the closer z gets to 1 and the
-smaller the balance c - a - b, the more terms are needed.  A long sum
-costs about 15 ns a term (a 50M-term sum takes 0.77 s on a 2-CPU Xeon
-host), and arguments too close to 1 exhaust the term cap and raise
-``ConvergenceError`` rather than silently returning a low-accuracy value;
-an overflowing term raises ``DomainError``.
+smaller the balance c - a - b, the more terms are needed.  On a 2-CPU
+Xeon host a long sum costs about 15 ns a term alone and about 13 ns a
+term as one row of a pair (below): F and F - 1 at one key, both to the
+50M-term cap, take 1.31 s as a pair against 1.53 s apart.  Arguments
+too close to 1 exhaust the term cap and raise ``ConvergenceError``
+rather than silently returning a low-accuracy value; an overflowing term
+raises ``DomainError``.
 
 The loop sums a batch of series as the rows of 2-D blocks: a sweep sums
 all of a chunk's series in one call, and ``hyp2f1``, ``hyp2f1_minus_one``
 and ``hyp3f2`` are one-row batches.  The rows go through the short
 blocks in step, split into groups of at most ``_BLOCK_MAX`` terms (rows
-times block length), so a batch holds no more buffers than one steady
-block, plus a column for the carried term and partial sum.  A row leaves
-the batch when it stops, and at the steady size each row runs on alone.
-A row that fails gets its own ``ConvergenceError`` or ``DomainError``
-and the others go on.
+times block length), so a batch holds no more buffers than one pair of
+steady blocks, plus a column for the carried term and partial sum.  A
+row leaves the batch when it stops.  At the steady size each row runs on
+alone, except a pair: an F row and the F - 1 row of the same z and
+parameters (``skip_first``), as the moment and the gap at one key need.
+The F - 1 row is one term ahead, so its term ratios are the F row's
+shifted by one: the pair computes them once, and each row multiplies up
+its own view of them and adds its own terms.  When one row of a pair
+stops, the other runs on alone.  A row that fails gets its own
+``ConvergenceError`` or ``DomainError`` and the others go on.
 
 The block schedule (``_BLOCK_START`` terms, doubling to ``_BLOCK_MAX``)
 and the order of the floating-point operations within a block are part
@@ -31,8 +38,9 @@ of the output: each block multiplies its term ratios into a running
 product and adds the terms into a running sum, starting afresh from the
 carried term and partial sum, so changing either moves the last bits of
 every sum longer than one block.  Row-wise ``np.multiply.accumulate`` and
-``np.add.accumulate`` along axis 1 are the 1-D calls bit for bit, so a
-series has the same bits in any batch.
+``np.add.accumulate`` along axis 1 are the 1-D calls bit for bit, and a
+pair's ratios are the same IEEE operations on the same numbers as each
+row's alone, so a series has the same bits in any batch, paired or not.
 """
 
 from __future__ import annotations
@@ -121,17 +129,23 @@ def _first_stops(terms, sums, exact, screen: bool, work):
     partial sum before it.  ``exact`` is None where no row is in exact
     mode, True where every row is, else the rows' flags; an exact row
     stops only at a term that is exactly zero.  With ``screen``, a block
-    in which every row's smallest |t| exceeds ``SERIES_EPS`` times its
-    largest |S| is passed without the elementwise test: rounding is
-    monotone, so no term in it can meet the relative rule, and none is
-    zero.  ``work`` is scratch space of the block's shape.
+    in which every row's terms share one sign and the smallest |t|
+    exceeds ``SERIES_EPS`` times the larger |S| at the block's two ends
+    is passed without the elementwise test.  Such a row's partial sums
+    are monotone, rounding included, so their largest |S| is at an end;
+    and as rounding is monotone, no term can meet the relative rule, and
+    none is zero.  ``work`` is scratch space of the block's shape.
     """
-    size = np.abs(terms, out=work)
     if screen:
-        # NaN in sums makes both ends NaN and the comparison False
-        big = np.maximum(sums.max(axis=1), -sums.min(axis=1))
-        if (size[:, 1:].min(axis=1) > SERIES_EPS * big).all():
+        t = terms[:, 1:]
+        low, high = t.min(axis=1), t.max(axis=1)
+        # positive only where a row's terms share one sign; NaN in a row
+        # makes its ends or its terms NaN and the comparison False
+        least = np.where(low > 0.0, low, -high)
+        ends = np.maximum(np.abs(sums[:, 0]), np.abs(sums[:, -1]))
+        if (least > SERIES_EPS * ends).all():
             return None
+    size = np.abs(terms, out=work)
     if exact is True:
         return terms[:, 1:] == 0.0
     hit = size[:, 1:] <= SERIES_EPS * np.abs(sums[:, :-1])
@@ -139,6 +153,36 @@ def _first_stops(terms, sums, exact, screen: bool, work):
     if exact is not None:
         hit[exact] = terms[exact, 1:] == 0.0
     return hit
+
+
+def _pairs(state, first) -> tuple[list, list]:
+    """The order of a batch's rows for its steady blocks, and whether each
+    row in that order leads a pair.
+
+    A pair is an F row (``first`` 0) and an F - 1 row whose z and
+    parameters are the same, bit for bit, and which is one term ahead of
+    it, so that its term ratios are the F row's shifted by one.  The F row
+    goes first, then its F - 1 row, and the pairs go before the lone rows,
+    so that groups of one shape follow each other and share buffers.
+    """
+    keys = [(row[0] - f, row[3:].tobytes()) for row, f in zip(state, first)]
+    heads = {}
+    for i, f in enumerate(first):
+        if not f:
+            heads.setdefault(keys[i], i)
+    order = []
+    for j, f in enumerate(first):
+        if f and keys[j] in heads:
+            order += (heads.pop(keys[j]), j)
+    lead = [True, False] * (len(order) // 2)
+    paired = set(order)
+    order += [i for i in range(len(first)) if i not in paired]
+    return order, lead + [False] * (len(order) - len(lead))
+
+
+def _rows(rows, state, *lists):
+    """``state`` and each of ``lists`` cut to ``rows``, in that order."""
+    return (state[rows], *([xs[i] for i in rows] for xs in lists))
 
 
 # overflow is caught as a non-finite term or sum
@@ -162,7 +206,7 @@ def _sum_pfq(series) -> list:
     # term and partial sum, z and the parameters.
     place, first, exact, state = [], [], [], []
     for r, (nums, dens, z, skip_first) in enumerate(series):
-        is_exact = any(_is_nonpos_int(p) for p in nums)
+        is_exact = any(map(_is_nonpos_int, nums))
         term = 1.0
         if skip_first:
             term = z
@@ -181,7 +225,6 @@ def _sum_pfq(series) -> list:
         return results
     n_nums = len(series[0][0])
     state = np.array(state, dtype=np.float64)
-    columns = [state[:, j:j + 1] for j in range(state.shape[1])]
     # an upper bound on the next n: a round moves each row on by at most
     # its block
     far = max(first) + 1
@@ -194,12 +237,23 @@ def _sum_pfq(series) -> list:
     # length, in groups of equal length and at most _BLOCK_MAX terms in
     # all, and leave as they stop; a group of the last group's shape
     # reuses its buffers, whose column 0 holds the carried term and partial
-    # sum.  At the steady size each row runs on alone, advancing n by m,
-    # which is exact below 2**53, and screening the stop rule; a short sum
-    # stops in its first blocks, where the screen would be wasted.
+    # sum.  At the steady size each row, or each pair of an F row and its
+    # F - 1 row (see ``_pairs``), runs on alone, advancing n by m, which is
+    # exact below 2**53, and screening the stop rule; a short sum stops in
+    # its first blocks, where the screen would be wasted.  A pair builds
+    # the m + 1 ratios from its F row's next n once, and each of its rows
+    # multiplies up its own m of them: the F row the first m, the F - 1
+    # row the last m.
     block = _BLOCK_START
     shape = None
     while True:
+        if block == _BLOCK_MAX:
+            order, lead = _pairs(state, first)
+            if order != list(range(len(order))):
+                state, place, first, exact = _rows(order, state, place,
+                                                   first, exact)
+        # each column of the state as a view of shape (rows, 1)
+        columns = list(state.T[:, :, None])
         n_exact = sum(exact)
         # runs of rows with the same block length: shorter for the rows
         # that reach the term cap, and at most 0 for those past it
@@ -222,94 +276,132 @@ def _sum_pfq(series) -> list:
                         partial_value=total,
                         terms_used=int(n_next) - first[i])
                 continue
-            per = max(1, _BLOCK_MAX // m)
-            for lo in range(start, end, per):
-                hi = min(lo + per, end)
+            per, lo = _BLOCK_MAX // m, start
+            while lo < end:
+                # a steady group is a row, or a pair with both rows in
+                # the run
+                hi = min(lo + (per if m < _BLOCK_MAX else 1 + lead[lo]), end)
                 if shape != (hi - lo, m):
                     # the old buffers go before the new ones are taken
-                    idx = k = terms = sums = work = t = s = w = None
+                    idx = k = ratios = scratch = parts = None
+                    terms = sums = work = t = s = view = None
                     shape = (hi - lo, m)
-                    steps = np.arange(m, dtype=np.float64)
-                    idx, k = np.empty(shape), np.empty(shape)
-                    # column 0 holds the carried term and partial sum
-                    terms, sums, work = (np.empty((hi - lo, m + 1))
-                                         for _ in range(3))
-                    t, s, w = terms[:, 1:], sums[:, 1:], work[:, 1:]
+                    pair = m == _BLOCK_MAX and hi - lo == 2
+                    # A group's rows share its buffers.  Each row of a pair
+                    # has its own, a lone row's size: freeing a larger one
+                    # raises the C allocator's threshold for mapping memory
+                    # (glibc's is dynamic), which changes the cost of every
+                    # later allocation of that size in the process.  Each
+                    # part, the group or a row of the pair, has its terms,
+                    # sums and scratch space, whose column 0 holds the
+                    # carried term and partial sum, their views past it,
+                    # and its view of the term ratios: a pair's m + 1 from
+                    # its F row's next n, of which row j takes j to j + m.
+                    rows = 1 if pair else hi - lo
+                    steps = np.arange(m + pair, dtype=np.float64)
+                    idx = np.empty((rows, m + pair))
+                    k = np.empty(idx.shape)
+                    ratios = np.empty((1, m + 1)) if pair else None
+                    parts = []
+                    for j in range(1 + pair):
+                        terms, sums, work = (np.empty((rows, m + 1))
+                                             for _ in range(3))
+                        t = terms[:, 1:]
+                        parts.append((terms, sums, work, t, sums[:, 1:],
+                                      ratios[:, j:j + m] if pair else t))
+                    if pair:
+                        scratch = parts[0][2]
+                    else:
+                        # a group's ratios are worked out in its terms
+                        ratios, scratch = parts[0][3], parts[0][2][:, 1:]
                 # the group's columns of the state, views that follow it
                 nc, tc, sc, zc, p0, *ps = (
                     columns if hi - lo == len(place)
                     else [c[lo:hi] for c in columns])
-                np.add(steps, nc, out=idx)
-                np.subtract(idx, 1.0, out=k)
+                n0 = nc
                 ex = (None if not n_exact else True if n_exact == len(place)
                       else np.array(exact[lo:hi]))
+                # each part's first row, columns and buffers
+                members = [(lo, nc, tc, sc, parts[0])]
+                if pair:
+                    # the ratios are the F row's, the group's first; the
+                    # two rows share their exactness
+                    n0, zc, p0, *ps = (c[:1] for c in (nc, zc, p0, *ps))
+                    members = [(lo + j, nc[j:j + 1], tc[j:j + 1], sc[j:j + 1],
+                                parts[j]) for j in (0, 1)]
+                    ex = True if exact[lo] else None
+                np.add(steps, n0, out=idx)
+                np.subtract(idx, 1.0, out=k)
                 while True:
-                    terms[:, :1] = tc
-                    sums[:, :1] = sc
-                    np.add(k, p0, out=t)
-                    t *= zc
+                    np.add(k, p0, out=ratios)
+                    ratios *= zc
                     for j, pj in enumerate(ps, 1):
-                        np.add(k, pj, out=w)
+                        np.add(k, pj, out=scratch)
                         if j < n_nums:
-                            t *= w
+                            ratios *= scratch
                         else:
-                            t /= w
-                    t /= idx
-                    np.multiply.accumulate(t, axis=1, out=t)
-                    t *= tc
-                    np.add.accumulate(t, axis=1, out=s)
-                    s += sc
-                    hit = _first_stops(terms, sums, ex, m == _BLOCK_MAX, work)
-                    stopped = None if hit is None else hit.any(axis=1)
-                    stops = ([] if stopped is None
-                             else stopped.nonzero()[0].tolist())
-                    for i in stops:
-                        j = int(hit[i].argmax())
-                        # geometric tail bound; the stop rule makes
-                        # t_next < t_last
-                        t_last = abs(float(terms[i, j]))
-                        t_next = abs(float(terms[i, j + 1]))
-                        value = float(sums[i, j])
-                        i += lo
-                        ended.append(i)
-                        results[place[i]] = SeriesResult(
-                            value, int(nc[i - lo, 0]) - first[i] + j,
-                            0.0 if exact[i]
-                            else t_next / (1.0 - t_next / t_last),
-                            exact[i])
-                    if len(stops) == hi - lo:
-                        break
-                    going = (np.isfinite(terms[:, -1])
-                             & np.isfinite(sums[:, -1]))
-                    if not going.all():
-                        if stopped is not None:
-                            going |= stopped
-                        for i in (~going).nonzero()[0].tolist():
-                            ended.append(lo + i)
-                            results[place[lo + i]] = DomainError(
-                                "series term or partial sum overflows "
-                                "float64; exponents are too large")
-                    tc[:, 0] = terms[:, -1]
-                    sc[:, 0] = sums[:, -1]
-                    nc += m
-                    # A group of the steady size is one row, which runs on
-                    # while its blocks stay whole.
-                    if (m < _BLOCK_MAX or (ended and ended[-1] == lo)
-                            or nc[0, 0] + m > MAX_TERMS + 1):
+                            ratios /= scratch
+                    ratios /= idx
+                    for a, nq, tq, sq, (terms, sums, work, t, s,
+                                        view) in members:
+                        terms[:, :1] = tq
+                        sums[:, :1] = sq
+                        np.multiply.accumulate(view, axis=1, out=t)
+                        t *= tq
+                        np.add.accumulate(t, axis=1, out=s)
+                        s += sq
+                        hit = _first_stops(terms, sums, ex, m == _BLOCK_MAX,
+                                           work)
+                        stopped = None if hit is None else hit.any(axis=1)
+                        stops = ([] if stopped is None
+                                 else stopped.nonzero()[0].tolist())
+                        for i in stops:
+                            j = int(hit[i].argmax())
+                            # geometric tail bound; the stop rule makes
+                            # t_next < t_last
+                            t_last = abs(float(terms[i, j]))
+                            t_next = abs(float(terms[i, j + 1]))
+                            value = float(sums[i, j])
+                            used = int(nq[i, 0]) + j
+                            i += a
+                            ended.append(i)
+                            results[place[i]] = SeriesResult(
+                                value, used - first[i],
+                                0.0 if exact[i]
+                                else t_next / (1.0 - t_next / t_last),
+                                exact[i])
+                        if len(stops) == len(terms):
+                            continue
+                        going = (np.isfinite(terms[:, -1])
+                                 & np.isfinite(sums[:, -1]))
+                        if not going.all():
+                            if stopped is not None:
+                                going |= stopped
+                            for i in (~going).nonzero()[0].tolist():
+                                ended.append(a + i)
+                                results[place[a + i]] = DomainError(
+                                    "series term or partial sum overflows "
+                                    "float64; exponents are too large")
+                        tq[:, 0] = terms[:, -1]
+                        sq[:, 0] = sums[:, -1]
+                        nq += m
+                    # A group of the steady size, one row or a pair, runs
+                    # on while its blocks stay whole and none of its rows
+                    # leaves.
+                    if (m < _BLOCK_MAX or (ended and ended[-1] >= lo)
+                            or nc[-1, 0] + m > MAX_TERMS + 1):
                         break
                     idx += m
                     k += m
                     far += m
+                lo = hi
         if len(ended) == len(place):
             return results
         if ended:
-            going = np.ones(len(place), dtype=bool)
-            going[ended] = False
-            state = state[going]
-            columns = [state[:, j:j + 1] for j in range(state.shape[1])]
-            going = going.tolist()
-            place, first, exact = ([x for x, kept in zip(xs, going) if kept]
-                                   for xs in (place, first, exact))
+            gone = set(ended)
+            state, place, first, exact = _rows(
+                [i for i in range(len(place)) if i not in gone],
+                state, place, first, exact)
         far += block
         block = min(block * 2, _BLOCK_MAX)
 

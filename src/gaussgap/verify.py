@@ -171,7 +171,11 @@ def _json_text(value) -> str:
 def _csv_text(value) -> str:
     """A row value as a CSV cell: nulls empty, booleans lower case, flags
     joined by ";", and quoted (RFC 4180) where it holds a comma, a quote
-    or a line break."""
+    or a line break; an int or a finite float is its ``repr``, which
+    holds none of them."""
+    cls = type(value)
+    if cls is int or cls is float and math.isfinite(value):
+        return repr(value)
     value = _jsonable(value)
     if value is None:
         text = ""

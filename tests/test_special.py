@@ -408,6 +408,8 @@ class TestBlockKernelBitForBit:
         ((-0.25, -0.75), (0.5,), 5e-324),         # subnormal z
         ((1e150, 1e150), (1.0,), 0.5),            # overflows
         ((300.5, 300.5), (0.5,), 0.97),           # overflows in a later block
+        ((-0.5, 0.25), (0.5,), 0.99),             # negative terms
+        ((572.0, 742.0), (5.65,), 0.096),         # S grows where it stops
     ])
     @pytest.mark.parametrize("skip_first", [False, True])
     def test_cases(self, nums, dens, z, skip_first):
@@ -460,6 +462,47 @@ class TestBlockKernelBitForBit:
         series = [((rng.uniform(-2, 4), rng.uniform(-2, 4), -7.0 * i),
                    (rng.uniform(0.1, 4), rng.uniform(0.1, 4)),
                    rng.choice([0.5, 0.993]), i % 2 == 1) for i in range(12)]
+        assert ([_described(r) for r in special._sum_pfq(series)]
+                == [_outcome(_reference_sum, *s) for s in series])
+
+    @pytest.mark.parametrize("nums, dens, z", [
+        ((-0.5, -0.25), (0.5,), 0.995),        # F stops first
+        ((2.96, 2.16), (0.45,), -0.93),        # alternating: F - 1 first
+        ((-0.075, -0.05), (0.5,), 0.999),      # both reach the cap
+        ((-600.0, 0.45), (0.5,), 0.9),         # exact
+        ((300.5, 300.5), (0.5,), 0.97),        # overflows
+    ])
+    @pytest.mark.parametrize("layout", ["F first", "F - 1 first",
+                                        "beside a row", "beside another z"])
+    def test_pairs(self, monkeypatch, nums, dens, z, layout):
+        # a key's F and F - 1 rows share their term ratios in the steady
+        # blocks, and keep their lone bits
+        leads, real = [], special._pairs
+
+        def paired(state, first):
+            order, lead = real(state, first)
+            leads.extend(lead)
+            return order, lead
+
+        monkeypatch.setattr(special, "_pairs", paired)
+        f_row, g_row = (nums, dens, z, False), (nums, dens, z, True)
+        series = {
+            "F first": [f_row, g_row],
+            "F - 1 first": [g_row, f_row],
+            "beside a row": [g_row, ((0.25, 0.5), (0.5,), 0.99, True), f_row],
+            "beside another z": [g_row, (nums, dens, 0.999 * z, False),
+                                 (nums, dens, 0.999 * z, True), f_row],
+        }[layout]
+        assert ([_described(r) for r in special._sum_pfq(series)]
+                == [_outcome(_reference_sum, *s) for s in series])
+        assert any(leads)
+
+    def test_pair_at_the_cap_with_a_whole_last_block(self, monkeypatch):
+        # the F row's last block of 256 terms ends at the cap, one term
+        # before the F - 1 row's would
+        monkeypatch.setattr(special, "MAX_TERMS", 5056)
+        series = [((-0.075, -0.05), (0.5,), 0.999, skip)
+                  for skip in (False, True)]
         assert ([_described(r) for r in special._sum_pfq(series)]
                 == [_outcome(_reference_sum, *s) for s in series])
 

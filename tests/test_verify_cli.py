@@ -465,6 +465,16 @@ def _csv_reference_cell(value) -> str:
     return str(value)
 
 
+def _csv_cell_by_rule(value) -> str:
+    """A CSV cell by the general rule of ``verify._csv_text``, which its
+    int and float path must match: the reference cell, quoted where it
+    holds a comma, a quote or a line break."""
+    text = _csv_reference_cell(value)
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 # Values that are equal keys with different texts, and an unhashable one.
 _MIXED = (True, 1, 1.0, 0.0, -0.0, math.nan, ["u", "v"])
 
@@ -502,6 +512,15 @@ class TestRowWriter:
         assert header == list(CSV_COLUMNS)
         assert cells == [[_csv_reference_cell(v) for v in row]
                          for row in rows]
+
+    @given(st.one_of(_VALUE, _FLAGS, st.sampled_from(
+        ('a,b', 'say "hi"', "line\nbreak", "cr\rlf", "1,5", "-0.0"))))
+    @example(-0.0)
+    @example(-math.inf)
+    @example(-5e-324)
+    @example(2.2250738585072014e-308)
+    def test_csv_cell_keeps_the_rule(self, value):
+        assert verify._csv_text(value) == _csv_cell_by_rule(value)
 
     @given(_batches(), st.sampled_from(["json", "csv"]),
            st.lists(st.sampled_from(CSV_COLUMNS), min_size=1, unique=True))
