@@ -10,27 +10,24 @@ shrinking), so a sum whose ``SERIES_EPS`` multiple underflows to 0 stops
 at its first underflowed term.  No connection formulas are used, so
 convergence near z = 1 is genuinely slow: the closer z gets to 1 and the
 smaller the balance c - a - b, the more terms are needed.  On a 2-CPU
-Xeon host a long sum costs about 15 ns a term alone and about 13 ns a
-term as one row of a pair (below): F and F - 1 at one key, both to the
-50M-term cap, take 1.31 s as a pair against 1.53 s apart.  Arguments
+Xeon host a long sum costs 13-15 ns a term alone and 10.5-12.5 ns as a
+row of a pair (below): F and F - 1 at one key, both to the 50M-term cap,
+take 1.05-1.25 s as a pair against 1.25-1.55 s apart.  Arguments
 too close to 1 exhaust the term cap and raise ``ConvergenceError``
 rather than silently returning a low-accuracy value; an overflowing term
-raises ``DomainError``.
+or partial sum raises ``DomainError``.
 
 The loop sums a batch of series as the rows of 2-D blocks: a sweep sums
 all of a chunk's series in one call, and ``hyp2f1``, ``hyp2f1_minus_one``
-and ``hyp3f2`` are one-row batches.  The rows go through the short
-blocks in step, split into groups of at most ``_BLOCK_MAX`` terms (rows
-times block length), so a batch holds no more buffers than one pair of
-steady blocks, plus a column for the carried term and partial sum.  A
-row leaves the batch when it stops.  At the steady size each row runs on
-alone, except a pair: an F row and the F - 1 row of the same z and
-parameters (``skip_first``), as the moment and the gap at one key need.
-The F - 1 row is one term ahead, so its term ratios are the F row's
-shifted by one: the pair computes them once, and each row multiplies up
-its own view of them and adds its own terms.  When one row of a pair
-stops, the other runs on alone.  A row that fails gets its own
-``ConvergenceError`` or ``DomainError`` and the others go on.
+and ``hyp3f2`` are one-row batches.  The rows are held in units of one z
+and parameters with at most one F row and one F - 1 row (``skip_first``),
+as the moment and the gap at one key need.  A unit's n is its F row's;
+the F - 1 row is one term ahead, so its term ratios are the F row's
+shifted by one, computed once for both.  The units go through the short
+blocks in step, in groups of at most ``_BLOCK_MAX`` terms (units times
+block length), and at the steady size each runs on alone.  A row leaves
+when it stops; one that fails gets its own ``ConvergenceError`` or
+``DomainError``.
 
 The block schedule (``_BLOCK_START`` terms, doubling to ``_BLOCK_MAX``)
 and the order of the floating-point operations within a block are part
@@ -39,8 +36,8 @@ product and adds the terms into a running sum, starting afresh from the
 carried term and partial sum, so changing either moves the last bits of
 every sum longer than one block.  Row-wise ``np.multiply.accumulate`` and
 ``np.add.accumulate`` along axis 1 are the 1-D calls bit for bit, and a
-pair's ratios are the same IEEE operations on the same numbers as each
-row's alone, so a series has the same bits in any batch, paired or not.
+unit's ratios are the same IEEE operations on the same numbers as a lone
+row's, so a series has the same bits in any batch, paired or not.
 """
 
 from __future__ import annotations
@@ -49,10 +46,9 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import (AccuracyError, ConvergenceError, DomainError,
-                     GaussGapError, SeriesDivergenceError)
+from .errors import (ConvergenceError, DomainError, GaussGapError,
+                     SeriesDivergenceError)
 
 SERIES_EPS = 1e-15
 # Generous cap: direct summation of borderline-convergent series at
@@ -145,44 +141,22 @@ def _first_stops(terms, sums, exact, screen: bool, work):
         ends = np.maximum(np.abs(sums[:, 0]), np.abs(sums[:, -1]))
         if (least > SERIES_EPS * ends).all():
             return None
-    size = np.abs(terms, out=work)
     if exact is True:
         return terms[:, 1:] == 0.0
-    hit = size[:, 1:] <= SERIES_EPS * np.abs(sums[:, :-1])
-    hit &= size[:, 1:] < size[:, :-1]
+    size = np.abs(terms, out=work)
+    term = size[:, 1:]
+    hit = term <= SERIES_EPS * np.abs(sums[:, :-1])
+    hit &= term < size[:, :-1]
     if exact is not None:
         hit[exact] = terms[exact, 1:] == 0.0
     return hit
 
 
-def _pairs(state, first) -> tuple[list, list]:
-    """The order of a batch's rows for its steady blocks, and whether each
-    row in that order leads a pair.
-
-    A pair is an F row (``first`` 0) and an F - 1 row whose z and
-    parameters are the same, bit for bit, and which is one term ahead of
-    it, so that its term ratios are the F row's shifted by one.  The F row
-    goes first, then its F - 1 row, and the pairs go before the lone rows,
-    so that groups of one shape follow each other and share buffers.
-    """
-    keys = [(row[0] - f, row[3:].tobytes()) for row, f in zip(state, first)]
-    heads = {}
-    for i, f in enumerate(first):
-        if not f:
-            heads.setdefault(keys[i], i)
-    order = []
-    for j, f in enumerate(first):
-        if f and keys[j] in heads:
-            order += (heads.pop(keys[j]), j)
-    lead = [True, False] * (len(order) // 2)
-    paired = set(order)
-    order += [i for i in range(len(first)) if i not in paired]
-    return order, lead + [False] * (len(order) - len(lead))
-
-
-def _rows(rows, state, *lists):
-    """``state`` and each of ``lists`` cut to ``rows``, in that order."""
-    return (state[rows], *([xs[i] for i in rows] for xs in lists))
+def _end(results, place, kinds, u, kind, result) -> None:
+    """End unit u's F (``kind`` 0) or F - 1 row with ``result``."""
+    results[place[u][kind]] = result
+    place[u][kind] = None
+    kinds[u] -= 1 - 3 * kind
 
 
 # overflow is caught as a non-finite term or sum
@@ -201,10 +175,16 @@ def _sum_pfq(series) -> list:
     computing F and subtracting; a zero n = 1 term gives 0 at once.
     """
     results = [None] * len(series)
-    # The rows still summing: their positions, first summed n and exact
-    # flags, and one row of ``state`` each, with the next n, the carried
-    # term and partial sum, z and the parameters.
-    place, first, exact, state = [], [], [], []
+    # Per unit of one z and parameters: the positions in ``series`` of its
+    # F and F - 1 rows (None once a row ends), its exactness, its kind (0:
+    # F - 1 only, 1: a pair, 2: no row, 3: F only; an F row adds 1 and an
+    # F - 1 row takes 2 away as it joins, and the reverse as it ends), and
+    # a column of ``state``: each row's carried term and partial sum, z and
+    # the parameters.  Rows equal as floats are equal bit for bit, as
+    # floats differ only as 0.0 and -0.0 and an F - 1 row with a zero z or
+    # parameter joins no unit: its first term is 0, or it divides by zero.
+    place, exact, kinds, state = [], [], [], []
+    free = ({}, {})  # the units without an F row, without an F - 1 row
     for r, (nums, dens, z, skip_first) in enumerate(series):
         is_exact = any(map(_is_nonpos_int, nums))
         term = 1.0
@@ -217,193 +197,155 @@ def _sum_pfq(series) -> list:
             if term == 0.0:
                 results[r] = SeriesResult(0.0, 0, 0.0, is_exact)
                 continue
-        place.append(r)
-        first.append(int(skip_first))
-        exact.append(is_exact)
-        state.append((first[-1] + 1, term, term, z, *nums, *dens))
+        kind = int(skip_first)
+        params = (z, *nums, *dens)
+        u = free[kind].pop(params, None)
+        if u is None:
+            u = free[1 - kind][params] = len(place)
+            place.append([None, None])
+            exact.append(is_exact)
+            kinds.append(2)
+            state.append([1.0, 1.0, 1.0, 1.0, *params])
+        place[u][kind] = r
+        kinds[u] += 1 - 3 * kind
+        state[u][2 * kind] = state[u][2 * kind + 1] = term
     if not place:
         return results
+    state = np.array(state, dtype=np.float64).T
     n_nums = len(series[0][0])
-    state = np.array(state, dtype=np.float64)
-    # an upper bound on the next n: a round moves each row on by at most
-    # its block
-    far = max(first) + 1
 
-    # Each row's block of m terms after n_next - 1 is summed as
+    # A unit's block of w terms from its F row's next n builds the w + 1
     #   ratio_i = z (p0 + k) (p1 + k) ... / (q0 + k) / ... / n,  k = n - 1,
-    #   t_i = term * cumprod(ratio)_i,  S_i = total + cumsum(t)_i,
-    # with the factors multiplied in that order (see the module docstring).
-    # The rows go through the short blocks in step, one round per block
-    # length, in groups of equal length and at most _BLOCK_MAX terms in
-    # all, and leave as they stop; a group of the last group's shape
-    # reuses its buffers, whose column 0 holds the carried term and partial
-    # sum.  At the steady size each row, or each pair of an F row and its
-    # F - 1 row (see ``_pairs``), runs on alone, advancing n by m, which is
-    # exact below 2**53, and screening the stop rule; a short sum stops in
-    # its first blocks, where the screen would be wasted.  A pair builds
-    # the m + 1 ratios from its F row's next n once, and each of its rows
-    # multiplies up its own m of them: the F row the first m, the F - 1
-    # row the last m.
-    block = _BLOCK_START
-    shape = None
-    while True:
-        if block == _BLOCK_MAX:
-            order, lead = _pairs(state, first)
-            if order != list(range(len(order))):
-                state, place, first, exact = _rows(order, state, place,
-                                                   first, exact)
-        # each column of the state as a view of shape (rows, 1)
-        columns = list(state.T[:, :, None])
-        n_exact = sum(exact)
-        # runs of rows with the same block length: shorter for the rows
-        # that reach the term cap, and at most 0 for those past it
-        if far <= MAX_TERMS + 1 - block:
-            runs = [(0, len(place), block)]
-        else:
-            widths = np.minimum(MAX_TERMS + 1 - state[:, 0], block)
-            cuts = [0, *(np.diff(widths).nonzero()[0] + 1).tolist(),
-                    len(place)]
-            runs = [(a, b, int(widths[a])) for a, b in zip(cuts, cuts[1:])]
-        ended = []  # the rows that leave the batch in this round
-        for start, end, m in runs:
-            if m <= 0:
-                ended.extend(range(start, end))
-                for i in range(start, end):
-                    n_next, _, total, z = state[i, :4].tolist()
-                    results[place[i]] = ConvergenceError(
-                        f"series did not meet the stopping criterion within "
-                        f"{MAX_TERMS} terms (z = {z} too close to 1)",
-                        partial_value=total,
-                        terms_used=int(n_next) - first[i])
-                continue
-            per, lo = _BLOCK_MAX // m, start
-            while lo < end:
-                # a steady group is a row, or a pair with both rows in
-                # the run
-                hi = min(lo + (per if m < _BLOCK_MAX else 1 + lead[lo]), end)
-                if shape != (hi - lo, m):
-                    # the old buffers go before the new ones are taken
-                    idx = k = ratios = scratch = parts = None
-                    terms = sums = work = t = s = view = None
-                    shape = (hi - lo, m)
-                    pair = m == _BLOCK_MAX and hi - lo == 2
-                    # A group's rows share its buffers.  Each row of a pair
-                    # has its own, a lone row's size: freeing a larger one
-                    # raises the C allocator's threshold for mapping memory
-                    # (glibc's is dynamic), which changes the cost of every
-                    # later allocation of that size in the process.  Each
-                    # part, the group or a row of the pair, has its terms,
-                    # sums and scratch space, whose column 0 holds the
-                    # carried term and partial sum, their views past it,
-                    # and its view of the term ratios: a pair's m + 1 from
-                    # its F row's next n, of which row j takes j to j + m.
-                    rows = 1 if pair else hi - lo
-                    steps = np.arange(m + pair, dtype=np.float64)
-                    idx = np.empty((rows, m + pair))
-                    k = np.empty(idx.shape)
-                    ratios = np.empty((1, m + 1)) if pair else None
-                    parts = []
-                    for j in range(1 + pair):
-                        terms, sums, work = (np.empty((rows, m + 1))
-                                             for _ in range(3))
-                        t = terms[:, 1:]
-                        parts.append((terms, sums, work, t, sums[:, 1:],
-                                      ratios[:, j:j + m] if pair else t))
-                    if pair:
-                        scratch = parts[0][2]
+    # and each row adds up its own, t_i = term * cumprod(ratio)_i and
+    # S_i = total + cumsum(t)_i, in that order: the F row ratios 0 to
+    # w - 1, the F - 1 row 1 to w' (w' = w - 1 at the cap, else w).  Units
+    # are ordered [F - 1 only | pairs | F only], so each kind's rows in a
+    # group are one slice.  A steady unit's n advances by w, exact below
+    # 2**53, and it screens the stop rule, which short sums would waste.
+    # Buffers of the last shape are reused; column 0 of the terms and sums
+    # holds the carried term and partial sum.
+    n, block, shape = 1, _BLOCK_START, None
+    while kinds.count(2) < len(kinds):
+        # the F rows are units a and on, the F - 1 rows those before b
+        a = kinds.count(0)
+        b = a + kinds.count(1)
+        if 2 in kinds or kinds != sorted(kinds):
+            keep = sorted(range(len(kinds)), key=kinds.__getitem__)
+            del keep[b:len(kinds) - kinds.count(3)]
+            state = state[:, keep]
+            place, exact, kinds = ([xs[u] for u in keep]
+                                   for xs in (place, exact, kinds))
+        steady = block == _BLOCK_MAX
+        per = 1 if steady else _BLOCK_MAX // block
+        for lo in range(0, len(place), per):
+            hi = min(lo + per, len(place))
+            # the group's z and parameters as views of shape (units, 1)
+            zc, p0, *rest = state[4:, lo:hi, None]
+            f0, g1, nu = max(lo, a), min(hi, b), n
+            while f0 < hi or g1 > lo:
+                w = min(block, MAX_TERMS + 1 - nu)
+                if shape != (hi - lo, w):
+                    # all the old buffers go before the new ones are taken:
+                    # a row buffer kept across shapes would pin the C heap
+                    # above the freed blocks after the call
+                    idx = k = ratios = scratch = terms = sums = t = s = None
+                    slots = [(None,), (None,)]
+                    shape, base = (hi - lo, w), nu
+                    idx = np.arange(nu, nu + w + 1, dtype=np.float64)[None]
+                    k = idx - 1.0
+                    ratios = np.empty((hi - lo, w + 1))
+                    scratch = np.empty(ratios.shape)
+                if base != nu:
+                    idx += nu - base
+                    k += nu - base
+                    base = nu
+                np.add(k, p0, out=ratios)
+                ratios *= zc
+                for j, pj in enumerate(rest, 1):
+                    np.add(k, pj, out=scratch)
+                    if j < n_nums:
+                        ratios *= scratch
                     else:
-                        # a group's ratios are worked out in its terms
-                        ratios, scratch = parts[0][3], parts[0][2][:, 1:]
-                # the group's columns of the state, views that follow it
-                nc, tc, sc, zc, p0, *ps = (
-                    columns if hi - lo == len(place)
-                    else [c[lo:hi] for c in columns])
-                n0 = nc
-                ex = (None if not n_exact else True if n_exact == len(place)
-                      else np.array(exact[lo:hi]))
-                # each part's first row, columns and buffers
-                members = [(lo, nc, tc, sc, parts[0])]
-                if pair:
-                    # the ratios are the F row's, the group's first; the
-                    # two rows share their exactness
-                    n0, zc, p0, *ps = (c[:1] for c in (nc, zc, p0, *ps))
-                    members = [(lo + j, nc[j:j + 1], tc[j:j + 1], sc[j:j + 1],
-                                parts[j]) for j in (0, 1)]
-                    ex = True if exact[lo] else None
-                np.add(steps, n0, out=idx)
-                np.subtract(idx, 1.0, out=k)
-                while True:
-                    np.add(k, p0, out=ratios)
-                    ratios *= zc
-                    for j, pj in enumerate(ps, 1):
-                        np.add(k, pj, out=scratch)
-                        if j < n_nums:
-                            ratios *= scratch
-                        else:
-                            ratios /= scratch
-                    ratios /= idx
-                    for a, nq, tq, sq, (terms, sums, work, t, s,
-                                        view) in members:
-                        terms[:, :1] = tq
-                        sums[:, :1] = sq
-                        np.multiply.accumulate(view, axis=1, out=t)
-                        t *= tq
-                        np.add.accumulate(t, axis=1, out=s)
-                        s += sq
-                        hit = _first_stops(terms, sums, ex, m == _BLOCK_MAX,
-                                           work)
-                        stopped = None if hit is None else hit.any(axis=1)
-                        stops = ([] if stopped is None
-                                 else stopped.nonzero()[0].tolist())
-                        for i in stops:
-                            j = int(hit[i].argmax())
-                            # geometric tail bound; the stop rule makes
-                            # t_next < t_last
-                            t_last = abs(float(terms[i, j]))
-                            t_next = abs(float(terms[i, j + 1]))
-                            value = float(sums[i, j])
-                            used = int(nq[i, 0]) + j
-                            i += a
-                            ended.append(i)
-                            results[place[i]] = SeriesResult(
-                                value, used - first[i],
-                                0.0 if exact[i]
-                                else t_next / (1.0 - t_next / t_last),
-                                exact[i])
-                        if len(stops) == len(terms):
+                        ratios /= scratch
+                ratios /= idx
+                for x, y, kind, width in (
+                        (f0, hi, 0, w), (lo, g1, 1, min(w, MAX_TERMS - nu))):
+                    if x >= y:
+                        continue
+                    if width <= 0:  # the rows reached the term cap
+                        for u in range(x, y):
+                            error = ConvergenceError(
+                                f"series did not meet the stopping criterion "
+                                f"within {MAX_TERMS} terms (z = "
+                                f"{float(zc[u - lo, 0])} too close to 1)",
+                                partial_value=float(state[2 * kind + 1, u]),
+                                terms_used=MAX_TERMS + 1 - kind)
+                            _end(results, place, kinds, u, kind, error)
+                        continue
+                    if slots[kind][0] != (y - x, width):
+                        # the old buffers go before the new ones are taken
+                        slots[kind] = terms = sums = t = s = None
+                        terms = np.empty((y - x, width + 1))
+                        sums = np.empty(terms.shape)
+                        slots[kind] = ((y - x, width), terms, sums,
+                                       terms[:, 1:], sums[:, 1:])
+                    _, terms, sums, t, s = slots[kind]
+                    # the rows' carried terms and partial sums
+                    tq = state[2 * kind, x:y, None]
+                    sq = state[2 * kind + 1, x:y, None]
+                    terms[:, :1] = tq
+                    sums[:, :1] = sq
+                    np.multiply.accumulate(
+                        ratios[x - lo:y - lo, kind:kind + width], axis=1,
+                        out=t)
+                    t *= tq
+                    np.add.accumulate(t, axis=1, out=s)
+                    s += sq
+                    flags = exact[x:y]
+                    ex = (np.array(flags) if any(flags) and not all(flags)
+                          else all(flags) or None)
+                    hit = _first_stops(terms, sums, ex, steady,
+                                       scratch[:y - x, :width + 1])
+                    stopped = None if hit is None else hit.any(axis=1)
+                    stops = ([] if stopped is None
+                             else stopped.nonzero()[0].tolist())
+                    failed = []
+                    for i in stops:
+                        j = int(hit[i].argmax())
+                        value = sums.item(i, j)
+                        if not math.isfinite(value):
+                            # the partial sum overflowed before the stop
+                            failed.append(i)
                             continue
+                        # geometric tail bound; the stop rule makes
+                        # t_next < t_last
+                        t_last = abs(terms.item(i, j))
+                        t_next = abs(terms.item(i, j + 1))
+                        tail = (0.0 if exact[x + i]
+                                else t_next / (1.0 - t_next / t_last))
+                        _end(results, place, kinds, x + i, kind,
+                             SeriesResult(value, nu + j, tail, exact[x + i]))
+                    if len(stops) < y - x:
                         going = (np.isfinite(terms[:, -1])
                                  & np.isfinite(sums[:, -1]))
                         if not going.all():
                             if stopped is not None:
                                 going |= stopped
-                            for i in (~going).nonzero()[0].tolist():
-                                ended.append(a + i)
-                                results[place[a + i]] = DomainError(
-                                    "series term or partial sum overflows "
-                                    "float64; exponents are too large")
+                            failed += (~going).nonzero()[0].tolist()
                         tq[:, 0] = terms[:, -1]
                         sq[:, 0] = sums[:, -1]
-                        nq += m
-                    # A group of the steady size, one row or a pair, runs
-                    # on while its blocks stay whole and none of its rows
-                    # leaves.
-                    if (m < _BLOCK_MAX or (ended and ended[-1] >= lo)
-                            or nc[-1, 0] + m > MAX_TERMS + 1):
-                        break
-                    idx += m
-                    k += m
-                    far += m
-                lo = hi
-        if len(ended) == len(place):
-            return results
-        if ended:
-            gone = set(ended)
-            state, place, first, exact = _rows(
-                [i for i in range(len(place)) if i not in gone],
-                state, place, first, exact)
-        far += block
+                    for i in failed:
+                        _end(results, place, kinds, x + i, kind, DomainError(
+                            "series term or partial sum overflows float64; "
+                            "exponents are too large"))
+                if not steady:
+                    break
+                f0 = hi if place[lo][0] is None else lo
+                g1 = lo if place[lo][1] is None else hi
+                nu += w
+        n += min(block, MAX_TERMS + 1 - n)
         block = min(block * 2, _BLOCK_MAX)
+    return results
 
 
 def _sum_one(nums, dens, z: float, skip_first: bool = False) -> SeriesResult:
@@ -503,36 +445,3 @@ def hyp3f2(a1: float, a2: float, a3: float, b1: float, b2: float,
     if not 0.0 <= z < 1.0:
         raise DomainError(f"hyp3f2 requires z in [0, 1), got {z}")
     return _sum_one((a1, a2, a3), (b1, b2), z)
-
-
-def hyp_integral_rep(a1: float, a2: float, a3: float, b1: float, b2: float,
-                     z: float) -> float:
-    """3F2 via its standard integral representation over a 2F1 kernel.
-
-    3F2(a1, a2, a3; b1, b2; z) =
-        Gamma(b2) / (Gamma(a3) Gamma(b2 - a3)) *
-        integral_0^1 t^(a3-1) (1-t)^(b2-a3-1) F(a1, a2; b1; z t) dt,
-    valid for b2 > a3 > 0.  This is an independent route used to validate
-    the direct series summation.
-    """
-    if not (b2 > a3 > 0):
-        raise DomainError(f"integral representation requires b2 > a3 > 0, "
-                          f"got a3 = {a3}, b2 = {b2}")
-    _check_lower((b1,), "inner 2F1 lower")
-    if not 0.0 <= z < 1.0:
-        raise DomainError(f"hyp_integral_rep requires z in [0, 1), got {z}")
-
-    log_norm = math.lgamma(b2) - math.lgamma(a3) - math.lgamma(b2 - a3)
-    norm = math.exp(log_norm)
-
-    def integrand(t: float) -> float:
-        weight = t ** (a3 - 1.0) * (1.0 - t) ** (b2 - a3 - 1.0)
-        return weight * _sum_one((a1, a2), (b1,), z * t).value
-
-    res = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-9,
-               limit=200, full_output=1)
-    value, abserr = res[0], res[1]
-    if len(res) > 3:
-        raise AccuracyError(f"integral representation quadrature failed: {res[3]}",
-                            estimate=norm * value, achieved_error=norm * abserr)
-    return norm * value

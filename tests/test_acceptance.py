@@ -28,8 +28,9 @@ from gaussgap.moments import abs_moment_1d, gap, gap_via_3f2, product_moment
 from gaussgap.oracles import (McConfig, derive_seed, mc_product_moment,
                               quad_product_moment)
 from gaussgap.special import (euler_transform, hyp2f1, hyp2f1_derivative,
-                              hyp3f2, hyp_integral_rep)
+                              hyp3f2)
 from gaussgap.types import MomentSpec
+from reference_routes import hyp_integral_rep
 
 NEG_ALPHAS = (-0.9, -0.5, -0.1)
 POS_ALPHAS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5)

@@ -11,7 +11,8 @@ from gaussgap import special
 from gaussgap.errors import ConvergenceError, DomainError, SeriesDivergenceError
 from gaussgap.special import (MAX_TERMS, double_factorial, euler_transform,
                               hyp2f1, hyp2f1_at_one, hyp2f1_derivative,
-                              hyp2f1_minus_one, hyp3f2, hyp_integral_rep)
+                              hyp2f1_minus_one, hyp3f2)
+from reference_routes import hyp_integral_rep
 
 EPS = 2.0 ** -52
 
@@ -311,13 +312,22 @@ class TestSeriesDiagnostics:
         with pytest.raises(DomainError, match="overflows float64"):
             hyp2f1_minus_one(a, a, c, z)
 
+    def test_overflowed_partial_sum_is_an_error(self):
+        # the partial sum overflows to inf, and a later, smaller term of the
+        # same block meets the stop rule against it (at n = 857)
+        with pytest.raises(DomainError, match="overflows float64"):
+            hyp2f1(448.70869061483916, 222.29226294153736,
+                   27.233666875872927, 0.5208076572560097)
+
 
 def _reference_sum(nums, dens, z, skip_first=False):
     """The block recurrence of ``special._sum_pfq`` read term by term in
     plain floats: blocks of ``_BLOCK_START`` terms doubling to
     ``_BLOCK_MAX``, ratio z (p0 + k) (p1 + k) ... / (q0 + k) / ... / n,
     t = term * cumprod(ratio), S = total + cumsum(t) within a block, and
-    the stop rule against the term and partial sum before each term."""
+    the stop rule against the term and partial sum before each term.  A
+    stop whose partial sum before it is not finite, like a block that ends
+    on a term or partial sum that is not, raises ``DomainError``."""
     exact = any(p <= 0 and float(p).is_integer() for p in nums)
     first = 1 if skip_first else 0
     if skip_first:
@@ -354,10 +364,13 @@ def _reference_sum(nums, dens, z, skip_first=False):
                 stop = (abs(t) <= special.SERIES_EPS * abs(s_prev)
                         and abs(t) < abs(t_prev))
             if stop:
+                # a partial sum that overflowed before the stop is no value
+                if not math.isfinite(s_prev):
+                    break
                 tail = 0.0 if exact else abs(t) / (1.0 - abs(t) / abs(t_prev))
                 return special.SeriesResult(s_prev, n + i - first, tail, exact)
             t_prev, s_prev = t, s
-        if not (math.isfinite(t_prev) and math.isfinite(s_prev)):
+        if stop or not (math.isfinite(t_prev) and math.isfinite(s_prev)):
             raise DomainError("series term or partial sum overflows float64; "
                               "exponents are too large")
         term, total = t_prev, s_prev
@@ -410,6 +423,8 @@ class TestBlockKernelBitForBit:
         ((300.5, 300.5), (0.5,), 0.97),           # overflows in a later block
         ((-0.5, 0.25), (0.5,), 0.99),             # negative terms
         ((572.0, 742.0), (5.65,), 0.096),         # S grows where it stops
+        ((448.70869061483916, 222.29226294153736), (27.233666875872927,),
+         0.5208076572560097),                     # S overflows, then stops
     ])
     @pytest.mark.parametrize("skip_first", [False, True])
     def test_cases(self, nums, dens, z, skip_first):
@@ -473,18 +488,11 @@ class TestBlockKernelBitForBit:
         ((300.5, 300.5), (0.5,), 0.97),        # overflows
     ])
     @pytest.mark.parametrize("layout", ["F first", "F - 1 first",
-                                        "beside a row", "beside another z"])
-    def test_pairs(self, monkeypatch, nums, dens, z, layout):
-        # a key's F and F - 1 rows share their term ratios in the steady
-        # blocks, and keep their lone bits
-        leads, real = [], special._pairs
-
-        def paired(state, first):
-            order, lead = real(state, first)
-            leads.extend(lead)
-            return order, lead
-
-        monkeypatch.setattr(special, "_pairs", paired)
+                                        "beside a row", "beside another z",
+                                        "two F rows"])
+    def test_pairs(self, nums, dens, z, layout):
+        # a key's F and F - 1 rows share their term ratios, and keep their
+        # lone bits
         f_row, g_row = (nums, dens, z, False), (nums, dens, z, True)
         series = {
             "F first": [f_row, g_row],
@@ -492,10 +500,10 @@ class TestBlockKernelBitForBit:
             "beside a row": [g_row, ((0.25, 0.5), (0.5,), 0.99, True), f_row],
             "beside another z": [g_row, (nums, dens, 0.999 * z, False),
                                  (nums, dens, 0.999 * z, True), f_row],
+            "two F rows": [f_row, g_row, f_row],
         }[layout]
         assert ([_described(r) for r in special._sum_pfq(series)]
                 == [_outcome(_reference_sum, *s) for s in series])
-        assert any(leads)
 
     def test_pair_at_the_cap_with_a_whole_last_block(self, monkeypatch):
         # the F row's last block of 256 terms ends at the cap, one term
@@ -503,6 +511,43 @@ class TestBlockKernelBitForBit:
         monkeypatch.setattr(special, "MAX_TERMS", 5056)
         series = [((-0.075, -0.05), (0.5,), 0.999, skip)
                   for skip in (False, True)]
+        assert ([_described(r) for r in special._sum_pfq(series)]
+                == [_outcome(_reference_sum, *s) for s in series])
+
+    def test_pair_at_the_cap_in_a_short_round(self, monkeypatch):
+        # after the 64-term block the 128-term round is cut to 86 terms for
+        # F and 85 for F - 1, which ends both at the cap
+        monkeypatch.setattr(special, "MAX_TERMS", 150)
+        series = [((-0.075, -0.05), (0.5,), 0.999, skip)
+                  for skip in (False, True)]
+        results = special._sum_pfq(series)
+        assert ([_described(r) for r in results]
+                == [_outcome(_reference_sum, *s) for s in series])
+        assert [type(r) for r in results] == [ConvergenceError] * 2
+        assert [r.terms_used for r in results] == [151, 150]
+
+    @pytest.mark.parametrize("nums, dens, z", [
+        ((0.0, 0.5), (0.5,), 0.3),                # exact, degree 0
+        ((-0.0, 0.5), (0.5,), 0.3),
+        ((0.25, 0.5), (0.5,), 5e-324),            # the first term underflows
+        ((0.25, 0.5), (0.5,), 0.0),
+        ((0.25, 0.5), (0.5,), -0.0),
+    ])
+    def test_zero_first_term_beside_its_f_row(self, nums, dens, z):
+        series = [(nums, dens, z, True), (nums, dens, z, False),
+                  ((0.25, 0.5), (0.5,), 0.99, True)]
+        assert ([_described(r) for r in special._sum_pfq(series)]
+                == [_outcome(_reference_sum, *s) for s in series])
+
+    def test_exact_and_inexact_units_in_one_group(self):
+        # four units, one group of the 64-term block: exact and inexact
+        # rows side by side in each kind's slice; the exact pair's terms
+        # meet the relative rule long before its zero term
+        exact, inexact = ((-60.0, 0.5), (0.5,), 1e-3), ((0.3, 0.5), (0.5,), 0.9)
+        series = [(*exact, True), (*inexact, False), (*inexact, True),
+                  (*exact, False), ((-40.0, 0.25), (1.5,), 0.7, False),
+                  ((-0.5, 0.25), (0.5,), 0.99, True)]
+        assert special._BLOCK_MAX // special._BLOCK_START == 4
         assert ([_described(r) for r in special._sum_pfq(series)]
                 == [_outcome(_reference_sum, *s) for s in series])
 
