@@ -10,7 +10,8 @@ class DomainError(GaussGapError, ValueError):
 
 
 class ConvergenceError(GaussGapError, RuntimeError):
-    """A series hit the term cap before meeting its stopping criterion."""
+    """A series hit the term cap before meeting its stopping criterion, or
+    provably would: then nothing was summed and ``partial_value`` is None."""
 
     def __init__(self, message, partial_value=None, terms_used=None):
         super().__init__(message)

@@ -11,11 +11,10 @@ at its first underflowed term.  No connection formulas are used, so
 convergence near z = 1 is genuinely slow: the closer z gets to 1 and the
 smaller the balance c - a - b, the more terms are needed.  On a 2-CPU
 Xeon host a long sum costs 13-15 ns a term alone and 10.5-12.5 ns as a
-row of a pair (below): F and F - 1 at one key, both to the 50M-term cap,
-take 1.05-1.25 s as a pair against 1.25-1.55 s apart.  Arguments
-too close to 1 exhaust the term cap and raise ``ConvergenceError``
-rather than silently returning a low-accuracy value; an overflowing term
-or partial sum raises ``DomainError``.
+row of a pair (below).  A series too close to 1 hits the term cap, or
+provably would (``_cap_certain``), and ends in ``ConvergenceError``
+rather than a low-accuracy value; an overflowing term or partial sum, or
+a non-positive integer denominator parameter, ends it in ``DomainError``.
 
 The loop sums a batch of series as the rows of 2-D blocks: a sweep sums
 all of a chunk's series in one call, and ``hyp2f1``, ``hyp2f1_minus_one``
@@ -25,9 +24,9 @@ as the moment and the gap at one key need.  A unit's n is its F row's;
 the F - 1 row is one term ahead, so its term ratios are the F row's
 shifted by one, computed once for both.  The units go through the short
 blocks in step, in groups of at most ``_BLOCK_MAX`` terms (units times
-block length), and at the steady size each runs on alone.  A row leaves
-when it stops; one that fails gets its own ``ConvergenceError`` or
-``DomainError``.
+block length), and at the steady size each runs on alone, unless its
+rows are certified to reach the cap.  A row leaves when it stops; one
+that fails gets its own ``ConvergenceError`` or ``DomainError``.
 
 The block schedule (``_BLOCK_START`` terms, doubling to ``_BLOCK_MAX``)
 and the order of the floating-point operations within a block are part
@@ -51,9 +50,8 @@ from .errors import (ConvergenceError, DomainError, GaussGapError,
                      SeriesDivergenceError)
 
 SERIES_EPS = 1e-15
-# Generous cap: direct summation of borderline-convergent series at
-# z = 1 - 1e-6 can legitimately need ~1.5e7 terms before the stopping
-# rule is met.
+# Generous cap: a borderline-convergent series near z = 1 can need tens of
+# millions of terms (42.7M for a near-one F - 1 at z = 1 - 2.0e-7).
 MAX_TERMS = 50_000_000
 
 _BLOCK_START = 64
@@ -159,6 +157,39 @@ def _end(results, place, kinds, u, kind, result) -> None:
     kinds[u] -= 1 - 3 * kind
 
 
+def _cap_certain(nums, dens, z: float) -> bool:
+    """Whether the F and F - 1 rows of a series provably reach the cap.
+
+    Only 2F1(a, b; c; z) with 0 < z < 1, 0 < c <= 1, -1 < a, b <= c,
+    c - a - b > 0 and z a b a normal float is certified.  There every ratio
+    z (a + k) (b + k) / ((c + k) (k + 1)) with k >= 1 lies in (0, z], so
+    the terms from n = 1 on share one sign and shrink, the least examined
+    being t_N, N = ``MAX_TERMS``, whose log is from ``math.lgamma`` (DLMF
+    5.2.5).  The terms at z = 1 share that sign, so every partial sum of F
+    or F - 1 is at most 1 + |F(1) - 1| in size, F(1) Gauss's (DLMF
+    15.4.20).  Where |t_N| exceeds 2 ``SERIES_EPS`` times that bound no
+    term meets the relative rule; the 2 covers the rounding of terms and
+    sums, about 9 N u (5e-8) as z a b and the later products are normal,
+    and lgamma's error, about 1e-6 in the log.
+    """
+    if len(nums) != 2 or len(dens) != 1:
+        return False
+    (a, b), (c,) = nums, dens
+    if not (0.0 < z < 1.0 and 0.0 < c <= 1.0 and -1.0 < a <= c
+            and -1.0 < b <= c and c - a - b > 0.0
+            and abs(z * a * b) >= np.finfo(float).tiny):
+        return False
+    try:
+        bound = 1.0 + abs(hyp2f1_at_one(a, b, c) - 1.0)
+    except DomainError:  # F(1) overflows float64
+        return False
+    n = MAX_TERMS
+    log_term = (n * math.log(z) + math.lgamma(a + n) - math.lgamma(a)
+                + math.lgamma(b + n) - math.lgamma(b) - math.lgamma(c + n)
+                + math.lgamma(c) - math.lgamma(n + 1.0))
+    return log_term > math.log(2.0 * SERIES_EPS * bound)
+
+
 # overflow is caught as a non-finite term or sum
 @np.errstate(over="ignore", invalid="ignore")
 def _sum_pfq(series) -> list:
@@ -182,10 +213,16 @@ def _sum_pfq(series) -> list:
     # a column of ``state``: each row's carried term and partial sum, z and
     # the parameters.  Rows equal as floats are equal bit for bit, as
     # floats differ only as 0.0 and -0.0 and an F - 1 row with a zero z or
-    # parameter joins no unit: its first term is 0, or it divides by zero.
+    # numerator parameter joins no unit: its first term is 0.
     place, exact, kinds, state = [], [], [], []
     free = ({}, {})  # the units without an F row, without an F - 1 row
     for r, (nums, dens, z, skip_first) in enumerate(series):
+        try:
+            if not 0.0 < min(dens, default=1.0):  # > 0: no entry is <= 0
+                _check_lower(dens, f"hyp{len(nums)}f{len(dens)} lower")
+        except DomainError as error:
+            results[r] = error.with_traceback(None)
+            continue
         is_exact = any(map(_is_nonpos_int, nums))
         term = 1.0
         if skip_first:
@@ -242,8 +279,12 @@ def _sum_pfq(series) -> list:
             # the group's z and parameters as views of shape (units, 1)
             zc, p0, *rest = state[4:, lo:hi, None]
             f0, g1, nu = max(lo, a), min(hi, b), n
+            # a steady unit certain to reach the cap takes no term to end there
+            certain = steady and _cap_certain(
+                state[5:5 + n_nums, lo].tolist(),
+                state[5 + n_nums:, lo].tolist(), float(state[4, lo]))
             while f0 < hi or g1 > lo:
-                w = min(block, MAX_TERMS + 1 - nu)
+                w = 0 if certain else min(block, MAX_TERMS + 1 - nu)
                 if shape != (hi - lo, w):
                     # all the old buffers go before the new ones are taken:
                     # a row buffer kept across shapes would pin the C heap
@@ -278,7 +319,8 @@ def _sum_pfq(series) -> list:
                                 f"series did not meet the stopping criterion "
                                 f"within {MAX_TERMS} terms (z = "
                                 f"{float(zc[u - lo, 0])} too close to 1)",
-                                partial_value=float(state[2 * kind + 1, u]),
+                                partial_value=None if certain else float(
+                                    state[2 * kind + 1, u]),
                                 terms_used=MAX_TERMS + 1 - kind)
                             _end(results, place, kinds, u, kind, error)
                         continue
@@ -365,7 +407,6 @@ def _check_lower(params, label: str) -> None:
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> SeriesResult:
     """Gauss hypergeometric series F(a, b; c; z) for z in [0, 1)."""
-    _check_lower((c,), "hyp2f1 lower")
     if not 0.0 <= z < 1.0:
         raise DomainError(f"hyp2f1 requires z in [0, 1), got {z}; "
                           "use hyp2f1_at_one for z = 1")
@@ -378,7 +419,6 @@ def hyp2f1_minus_one(a: float, b: float, c: float, z: float) -> SeriesResult:
     Avoids the catastrophic cancellation of evaluating F and subtracting 1
     when z (and hence F - 1) is small.
     """
-    _check_lower((c,), "hyp2f1 lower")
     if not 0.0 <= z < 1.0:
         raise DomainError(f"hyp2f1_minus_one requires z in [0, 1), got {z}")
     return _sum_one((a, b), (c,), z, skip_first=True)
@@ -441,7 +481,6 @@ def euler_transform(a: float, b: float, c: float, z: float) -> float:
 def hyp3f2(a1: float, a2: float, a3: float, b1: float, b2: float,
            z: float) -> SeriesResult:
     """Hypergeometric series 3F2(a1, a2, a3; b1, b2; z) for z in [0, 1)."""
-    _check_lower((b1, b2), "hyp3f2 lower")
     if not 0.0 <= z < 1.0:
         raise DomainError(f"hyp3f2 requires z in [0, 1), got {z}")
     return _sum_one((a1, a2, a3), (b1, b2), z)

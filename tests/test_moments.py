@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussgap import moments, oracles, special, verify
-from gaussgap.errors import DomainError
+from gaussgap.errors import ConvergenceError, DomainError
 from gaussgap.moments import (abs_moment_1d, gap, gap_via_3f2, product_moment,
                               product_of_marginals, series_factor)
 from gaussgap.types import Estimate, MomentSpec
@@ -215,6 +215,14 @@ class TestGap:
         assert elapsed < 1.0
         assert special.hyp2f1_minus_one(-0.25, -0.25, 0.5,
                                         rho * rho).terms_used <= 2
+
+    def test_term_cap_near_one(self):
+        # F - 1 at z = (1 - 1e-8)^2 cannot meet the stop rule within the
+        # term cap; the cap's error is certified, not summed to
+        with pytest.raises(ConvergenceError) as exc:
+            gap(MomentSpec(1, 1, -0.3, -0.2, 1 - 1e-8))
+        assert exc.value.terms_used == special.MAX_TERMS  # n = 1..MAX_TERMS
+        assert exc.value.partial_value is None
 
     @given(st.floats(-0.95, 0.95))
     @settings(max_examples=30)

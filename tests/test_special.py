@@ -2,6 +2,8 @@
 
 import math
 import random
+import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -84,6 +86,7 @@ class TestHyp2f1:
         with pytest.raises(ConvergenceError) as exc:
             hyp2f1(0.15, 0.1, 0.5, 1.0 - 1e-9)
         assert exc.value.terms_used == MAX_TERMS + 1  # n = 0..MAX_TERMS
+        assert exc.value.partial_value is None  # certified, not summed
 
     @given(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5),
            st.floats(0.3, 4.0), st.floats(0.0, 0.9))
@@ -312,6 +315,31 @@ class TestSeriesDiagnostics:
         with pytest.raises(DomainError, match="overflows float64"):
             hyp2f1_minus_one(a, a, c, z)
 
+    @pytest.mark.parametrize("nums, dens, q", [
+        ((0.5, 0.25), (0.0,), 0.0),
+        ((0.5, 0.25), (-1.0,), -1.0),
+        ((0.5, 0.25, 1.0), (math.nan, -1.0), -1.0),  # behind a NaN
+    ])
+    @pytest.mark.parametrize("skip_first", [False, True])
+    def test_pole_denominator_ends_its_row_up_front(self, nums, dens, q,
+                                                     skip_first):
+        # beside a row that sums, with no warning and no bare
+        # ZeroDivisionError: the public routes' own DomainError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bad, good = special._sum_pfq([(nums, dens, 0.5, skip_first),
+                                          (nums, (0.5,) * len(dens), 0.5,
+                                           True)])
+        assert type(bad) is DomainError
+        assert str(bad) == (f"hyp{len(nums)}f{len(dens)} lower parameter "
+                            f"must not be a non-positive integer, got {q}")
+        assert bad.__traceback__ is None
+        assert type(good) is special.SeriesResult
+        if len(dens) == 1:
+            with pytest.raises(DomainError) as exc:
+                (hyp2f1_minus_one if skip_first else hyp2f1)(*nums, q, 0.5)
+            assert str(exc.value) == str(bad)
+
     def test_overflowed_partial_sum_is_an_error(self):
         # the partial sum overflows to inf, and a later, smaller term of the
         # same block meets the stop rule against it (at n = 857)
@@ -400,15 +428,22 @@ def _outcome(fn, *args, **kwargs):
         return _described(exc)
 
 
+def _never_certain(nums, dens, z):
+    """``special._cap_certain`` switched off: every row is summed."""
+    return False
+
+
 class TestBlockKernelBitForBit:
     """``_sum_pfq`` against the scalar block recurrence, bit for bit, with
     small blocks and a small term cap so that long sums, steady blocks
-    and the cap take milliseconds."""
+    and the cap take milliseconds.  The cap certificate is off, so that
+    every row that reaches the cap is summed to it, partial sum included."""
 
     @pytest.fixture(autouse=True)
     def _small_blocks(self, monkeypatch):
         monkeypatch.setattr(special, "_BLOCK_MAX", 256)
         monkeypatch.setattr(special, "MAX_TERMS", 5000)
+        monkeypatch.setattr(special, "_cap_certain", _never_certain)
 
     @pytest.mark.parametrize("nums, dens, z", [
         ((-0.075, -0.05), (0.5,), 0.999),         # slow: runs into the cap
@@ -556,3 +591,90 @@ class TestBlockKernelBitForBit:
                                     ((1e150, 1e150), (1.0,), 0.5, True)])
         assert [type(r) for r in results] == [ConvergenceError, DomainError]
         assert all(r.__traceback__ is None for r in results)
+
+
+def _cap_rows(a, b, c, z, layout):
+    f_row, g_row = ((a, b), (c,), z, False), ((a, b), (c,), z, True)
+    return {"pair": [f_row, g_row], "F": [f_row], "F - 1": [g_row]}[layout]
+
+
+class TestCapCertificate:
+    """``special._cap_certain`` ends a 2F1 row that provably cannot stop
+    within the term cap as the loop would end it there."""
+
+    @given(st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0), st.floats(-7.0, -1.0),
+           st.sampled_from(["pair", "F", "F - 1"]))
+    @settings(max_examples=150, deadline=None)
+    def test_certified_rows_reach_the_cap(self, c, u, v, e, layout):
+        # a, b in (-1, c] and z = 1 - 10^e: with a cap of 3,000 terms most
+        # such rows are certified, and only those are kept
+        a, b = c - (1.0 + c) * u, c - (1.0 + c) * v
+        z = 1.0 - 10.0 ** e
+        assume(-1.0 < a and -1.0 < b and c - a - b > 0.0)
+        with mock.patch.object(special, "MAX_TERMS", 3000), \
+                mock.patch.object(special, "_BLOCK_MAX", 256):
+            assume(special._cap_certain((a, b), (c,), z))
+            rows = _cap_rows(a, b, c, z, layout)
+            certified = special._sum_pfq(rows)
+            with mock.patch.object(special, "_cap_certain", _never_certain):
+                summed = special._sum_pfq(rows)
+        for got, want in zip(certified, summed):
+            assert type(want) is type(got) is ConvergenceError
+            assert (str(got), got.terms_used) == (str(want), want.terms_used)
+            assert got.partial_value is None
+            assert want.partial_value is not None
+
+    @pytest.mark.parametrize("nums", [(0.05, 0.04), (0.24, 0.24),
+                                      (-0.9, -0.8), (0.45, -0.7)])
+    def test_the_certified_line_is_tight(self, nums):
+        # along z for one key, with a cap of 3,000 terms: every certified z
+        # runs into the cap, and the rows of every z but the few just below
+        # the first certified one stop in the loop
+        dens = (0.5,)
+        certain, capped = [], []
+        with mock.patch.object(special, "MAX_TERMS", 3000), \
+                mock.patch.object(special, "_BLOCK_MAX", 256):
+            for i in range(60):
+                z = 1.0 - 10.0 ** (-2.0 - i / 60.0)
+                certain.append(special._cap_certain(nums, dens, z))
+                with mock.patch.object(special, "_cap_certain",
+                                       _never_certain):
+                    capped.append(all(
+                        isinstance(r, ConvergenceError) for r in
+                        special._sum_pfq(_cap_rows(*nums, *dens, z, "pair"))))
+        first = certain.index(True)
+        assert all(certain[first:]) and not any(certain[:first])
+        assert all(capped[first:])
+        assert 0 < capped.index(True) and first - capped.index(True) <= 4
+
+    @pytest.mark.parametrize("nums, dens", [
+        ((-1.0, 0.05), (0.5,)),                   # exact
+        ((-3.0, 0.05), (0.5,)),                   # exact, a <= -1
+        ((0.0, 0.05), (0.5,)),                    # a = 0: exact
+        ((0.05, -0.0), (0.5,)),                   # b = 0
+        ((0.05, 0.04, 1.0), (1.5, 2.0)),          # 3F2
+        ((0.25, 0.25), (0.5,)),                   # c - a - b = 0
+        ((0.3, 0.25), (0.5,)),                    # c - a - b < 0
+        ((0.05, 0.04), (1.5,)),                   # c > 1
+        ((0.6, 0.04), (0.5,)),                    # a > c
+    ])
+    def test_declines(self, nums, dens):
+        z = 1.0 - 1e-12
+        assert special._cap_certain((0.05, 0.04), (0.5,), z)
+        assert not special._cap_certain(nums, dens, z)
+
+    @pytest.mark.parametrize("z", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_declines_z_outside_the_open_interval(self, z):
+        assert not special._cap_certain((0.05, 0.04), (0.5,), z)
+
+    def test_at_the_real_cap(self):
+        # near-one seed 1's key of alpha (-0.0967, -0.0923): at
+        # rho^2 = 1 - 9.4e-9 both rows run into the cap, but at
+        # 1 - 2.0e-7 the F - 1 row stops, after 42.7M terms
+        nums, dens = (0.04836998885793936, 0.04615706786144397), (0.5,)
+        assert special._cap_certain(nums, dens, 0.9999999906300097)
+        z = 0.9999997964227408
+        assert not special._cap_certain(nums, dens, z)
+        tail = hyp2f1_minus_one(*nums, *dens, z)
+        assert 42_000_000 < tail.terms_used < MAX_TERMS

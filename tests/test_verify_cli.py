@@ -662,11 +662,17 @@ class TestCliMoment:
                                 "--rho", "0"], capsys)
         assert code == 2
 
-    def test_convergence_failure_exit(self, capsys):
+    def test_convergence_failure_exit(self, capsys, monkeypatch):
+        emitted = []
+        emit = cli._emit_error
+        monkeypatch.setattr(cli, "_emit_error",
+                            lambda exc: emitted.append(exc) or emit(exc))
         code, _, err = run_cli(["moment", "--alpha1", "-0.3", "--alpha2",
                                 "-0.2", "--rho", "0.999999999"], capsys)
         assert code == 3
         assert json.loads(err.splitlines()[-1])["error"] == "ConvergenceError"
+        # the series was certified to reach its cap, not summed to it
+        assert [exc.partial_value for exc in emitted] == [None]
 
     def test_degenerate_series_route(self, capsys):
         code, out, _ = run_cli(["moment", "--alpha1", "1", "--alpha2", "1",
