@@ -22,11 +22,12 @@ and ``hyp3f2`` are one-row batches.  The rows are held in units of one z
 and parameters with at most one F row and one F - 1 row (``skip_first``),
 as the moment and the gap at one key need.  A unit's n is its F row's;
 the F - 1 row is one term ahead, so its term ratios are the F row's
-shifted by one, computed once for both.  The units go through the short
-blocks in step, in groups of at most ``_BLOCK_MAX`` terms (units times
-block length), and at the steady size each runs on alone, unless its
-rows are certified to reach the cap.  A row leaves when it stops; one
-that fails gets its own ``ConvergenceError`` or ``DomainError``.
+shifted by one, computed once for both.  Each round takes every unit one
+block on, all at the batch's one n, in groups of at most ``_BLOCK_MAX``
+terms (units times block length), so one unit to a group at the steady
+size; a unit whose rows are certified to reach the cap ends in the first
+round at that size.  A row leaves when it stops; one that fails gets its
+own ``ConvergenceError`` or ``DomainError``.
 
 The block schedule (``_BLOCK_START`` terms, doubling to ``_BLOCK_MAX``)
 and the order of the floating-point operations within a block are part
@@ -170,7 +171,8 @@ def _cap_certain(nums, dens, z: float) -> bool:
     15.4.20).  Where |t_N| exceeds 2 ``SERIES_EPS`` times that bound no
     term meets the relative rule; the 2 covers the rounding of terms and
     sums, about 9 N u (5e-8) as z a b and the later products are normal,
-    and lgamma's error, about 1e-6 in the log.
+    and lgamma's error, about 1e-6 in the log.  ``_sum_pfq`` asks it once
+    per unit, in the batch's first round at the steady size.
     """
     if len(nums) != 2 or len(dens) != 1:
         return False
@@ -257,10 +259,9 @@ def _sum_pfq(series) -> list:
     # S_i = total + cumsum(t)_i, in that order: the F row ratios 0 to
     # w - 1, the F - 1 row 1 to w' (w' = w - 1 at the cap, else w).  Units
     # are ordered [F - 1 only | pairs | F only], so each kind's rows in a
-    # group are one slice.  A steady unit's n advances by w, exact below
-    # 2**53, and it screens the stop rule, which short sums would waste.
-    # Buffers of the last shape are reused; column 0 of the terms and sums
-    # holds the carried term and partial sum.
+    # group are one slice.  n is exact below 2**53; the steady blocks
+    # screen the stop rule, which short sums would waste.  Column 0 of a
+    # kind's terms and sums holds the carried term and partial sum.
     n, block, shape = 1, _BLOCK_START, None
     while kinds.count(2) < len(kinds):
         # the F rows are units a and on, the F - 1 rows those before b
@@ -273,118 +274,112 @@ def _sum_pfq(series) -> list:
             place, exact, kinds = ([xs[u] for u in keep]
                                    for xs in (place, exact, kinds))
         steady = block == _BLOCK_MAX
-        per = 1 if steady else _BLOCK_MAX // block
+        per = _BLOCK_MAX // block
         for lo in range(0, len(place), per):
             hi = min(lo + per, len(place))
             # the group's z and parameters as views of shape (units, 1)
             zc, p0, *rest = state[4:, lo:hi, None]
-            f0, g1, nu = max(lo, a), min(hi, b), n
-            # a steady unit certain to reach the cap takes no term to end there
-            certain = steady and _cap_certain(
-                state[5:5 + n_nums, lo].tolist(),
-                state[5 + n_nums:, lo].tolist(), float(state[4, lo]))
-            while f0 < hi or g1 > lo:
-                w = 0 if certain else min(block, MAX_TERMS + 1 - nu)
-                if shape != (hi - lo, w):
-                    # all the old buffers go before the new ones are taken:
-                    # a row buffer kept across shapes would pin the C heap
-                    # above the freed blocks after the call
-                    idx = k = ratios = scratch = terms = sums = t = s = None
-                    slots = [(None,), (None,)]
-                    shape, base = (hi - lo, w), nu
-                    idx = np.arange(nu, nu + w + 1, dtype=np.float64)[None]
-                    k = idx - 1.0
-                    ratios = np.empty((hi - lo, w + 1))
-                    scratch = np.empty(ratios.shape)
-                if base != nu:
-                    idx += nu - base
-                    k += nu - base
-                    base = nu
-                np.add(k, p0, out=ratios)
-                ratios *= zc
-                for j, pj in enumerate(rest, 1):
-                    np.add(k, pj, out=scratch)
-                    if j < n_nums:
-                        ratios *= scratch
-                    else:
-                        ratios /= scratch
-                ratios /= idx
-                for x, y, kind, width in (
-                        (f0, hi, 0, w), (lo, g1, 1, min(w, MAX_TERMS - nu))):
-                    if x >= y:
+            # in the first steady round, a unit certain to reach the cap
+            # takes no term to end there
+            certain = steady and n <= 1 + _BLOCK_MAX - _BLOCK_START and (
+                _cap_certain(state[5:5 + n_nums, lo].tolist(),
+                             state[5 + n_nums:, lo].tolist(),
+                             float(state[4, lo])))
+            w = 0 if certain else min(block, MAX_TERMS + 1 - n)
+            if shape != (hi - lo, w):
+                # all the old buffers go before the new ones are taken: a
+                # buffer kept across shapes would pin the C heap above the
+                # freed blocks after the call
+                idx = k = ratios = scratch = terms = sums = None
+                bufs = [None, None]
+                shape, base = (hi - lo, w), n
+                idx = np.arange(n, n + w + 1, dtype=np.float64)[None]
+                k = idx - 1.0
+                ratios = np.empty((hi - lo, w + 1))
+                scratch = np.empty(ratios.shape)
+            if base != n:
+                idx += n - base
+                k += n - base
+                base = n
+            np.add(k, p0, out=ratios)
+            ratios *= zc
+            for j, pj in enumerate(rest, 1):
+                np.add(k, pj, out=scratch)
+                if j < n_nums:
+                    ratios *= scratch
+                else:
+                    ratios /= scratch
+            ratios /= idx
+            for x, y, kind, width in ((max(lo, a), hi, 0, w),
+                                      (lo, min(hi, b), 1,
+                                       min(w, MAX_TERMS - n))):
+                if x >= y:
+                    continue
+                if width <= 0:  # the rows reached the term cap
+                    for u in range(x, y):
+                        error = ConvergenceError(
+                            f"series did not meet the stopping criterion "
+                            f"within {MAX_TERMS} terms (z = "
+                            f"{float(zc[u - lo, 0])} too close to 1)",
+                            partial_value=None if certain else float(
+                                state[2 * kind + 1, u]),
+                            terms_used=MAX_TERMS + 1 - kind)
+                        _end(results, place, kinds, u, kind, error)
+                    continue
+                if bufs[kind] is None:
+                    # two arrays, not one block of both: a freed block of
+                    # twice the size moves the C heap after the call
+                    bufs[kind] = (np.empty(ratios.shape),
+                                  np.empty(ratios.shape))
+                terms, sums = (v[:y - x, :width + 1] for v in bufs[kind])
+                # the rows' carried terms and partial sums
+                tq = state[2 * kind, x:y, None]
+                sq = state[2 * kind + 1, x:y, None]
+                terms[:, :1] = tq
+                sums[:, :1] = sq
+                np.multiply.accumulate(
+                    ratios[x - lo:y - lo, kind:kind + width], axis=1,
+                    out=terms[:, 1:])
+                terms[:, 1:] *= tq
+                np.add.accumulate(terms[:, 1:], axis=1, out=sums[:, 1:])
+                sums[:, 1:] += sq
+                flags = exact[x:y]
+                ex = (np.array(flags) if any(flags) and not all(flags)
+                      else all(flags) or None)
+                hit = _first_stops(terms, sums, ex, steady,
+                                   scratch[:y - x, :width + 1])
+                stopped = None if hit is None else hit.any(axis=1)
+                stops = ([] if stopped is None
+                         else stopped.nonzero()[0].tolist())
+                failed = []
+                for i in stops:
+                    j = int(hit[i].argmax())
+                    value = sums.item(i, j)
+                    if not math.isfinite(value):
+                        # the partial sum overflowed before the stop
+                        failed.append(i)
                         continue
-                    if width <= 0:  # the rows reached the term cap
-                        for u in range(x, y):
-                            error = ConvergenceError(
-                                f"series did not meet the stopping criterion "
-                                f"within {MAX_TERMS} terms (z = "
-                                f"{float(zc[u - lo, 0])} too close to 1)",
-                                partial_value=None if certain else float(
-                                    state[2 * kind + 1, u]),
-                                terms_used=MAX_TERMS + 1 - kind)
-                            _end(results, place, kinds, u, kind, error)
-                        continue
-                    if slots[kind][0] != (y - x, width):
-                        # the old buffers go before the new ones are taken
-                        slots[kind] = terms = sums = t = s = None
-                        terms = np.empty((y - x, width + 1))
-                        sums = np.empty(terms.shape)
-                        slots[kind] = ((y - x, width), terms, sums,
-                                       terms[:, 1:], sums[:, 1:])
-                    _, terms, sums, t, s = slots[kind]
-                    # the rows' carried terms and partial sums
-                    tq = state[2 * kind, x:y, None]
-                    sq = state[2 * kind + 1, x:y, None]
-                    terms[:, :1] = tq
-                    sums[:, :1] = sq
-                    np.multiply.accumulate(
-                        ratios[x - lo:y - lo, kind:kind + width], axis=1,
-                        out=t)
-                    t *= tq
-                    np.add.accumulate(t, axis=1, out=s)
-                    s += sq
-                    flags = exact[x:y]
-                    ex = (np.array(flags) if any(flags) and not all(flags)
-                          else all(flags) or None)
-                    hit = _first_stops(terms, sums, ex, steady,
-                                       scratch[:y - x, :width + 1])
-                    stopped = None if hit is None else hit.any(axis=1)
-                    stops = ([] if stopped is None
-                             else stopped.nonzero()[0].tolist())
-                    failed = []
-                    for i in stops:
-                        j = int(hit[i].argmax())
-                        value = sums.item(i, j)
-                        if not math.isfinite(value):
-                            # the partial sum overflowed before the stop
-                            failed.append(i)
-                            continue
-                        # geometric tail bound; the stop rule makes
-                        # t_next < t_last
-                        t_last = abs(terms.item(i, j))
-                        t_next = abs(terms.item(i, j + 1))
-                        tail = (0.0 if exact[x + i]
-                                else t_next / (1.0 - t_next / t_last))
-                        _end(results, place, kinds, x + i, kind,
-                             SeriesResult(value, nu + j, tail, exact[x + i]))
-                    if len(stops) < y - x:
-                        going = (np.isfinite(terms[:, -1])
-                                 & np.isfinite(sums[:, -1]))
-                        if not going.all():
-                            if stopped is not None:
-                                going |= stopped
-                            failed += (~going).nonzero()[0].tolist()
-                        tq[:, 0] = terms[:, -1]
-                        sq[:, 0] = sums[:, -1]
-                    for i in failed:
-                        _end(results, place, kinds, x + i, kind, DomainError(
-                            "series term or partial sum overflows float64; "
-                            "exponents are too large"))
-                if not steady:
-                    break
-                f0 = hi if place[lo][0] is None else lo
-                g1 = lo if place[lo][1] is None else hi
-                nu += w
+                    # geometric tail bound; the stop rule makes
+                    # t_next < t_last
+                    t_last = abs(terms.item(i, j))
+                    t_next = abs(terms.item(i, j + 1))
+                    tail = (0.0 if exact[x + i]
+                            else t_next / (1.0 - t_next / t_last))
+                    _end(results, place, kinds, x + i, kind,
+                         SeriesResult(value, n + j, tail, exact[x + i]))
+                if len(stops) < y - x:
+                    going = (np.isfinite(terms[:, -1])
+                             & np.isfinite(sums[:, -1]))
+                    if not going.all():
+                        if stopped is not None:
+                            going |= stopped
+                        failed += (~going).nonzero()[0].tolist()
+                    tq[:, 0] = terms[:, -1]
+                    sq[:, 0] = sums[:, -1]
+                for i in failed:
+                    _end(results, place, kinds, x + i, kind, DomainError(
+                        "series term or partial sum overflows float64; "
+                        "exponents are too large"))
         n += min(block, MAX_TERMS + 1 - n)
         block = min(block * 2, _BLOCK_MAX)
     return results

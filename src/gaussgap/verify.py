@@ -83,8 +83,8 @@ class SweepConfig:
     master_seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        # Range checks live in MomentSpec, which grid() runs on every point
-        # before any is evaluated.
+        # The points' range checks live in MomentSpec, which grid() runs on
+        # every point before any is evaluated.
         for name in ("alpha1", "alpha2", "rho", "sigma1", "sigma2"):
             if not getattr(self, f"{name}_values"):
                 raise DomainError(f"the {name} list is empty")
@@ -93,6 +93,7 @@ class SweepConfig:
             raise DomainError(f"mc_samples must be at least "
                               f"{oracles_mod.MIN_MC_SAMPLES}, got "
                               f"{self.mc_samples}")
+        oracles_mod.check_seed(self.master_seed)
 
     def grid(self) -> list[MomentSpec]:
         return [MomentSpec(s1, s2, a1, a2, r)

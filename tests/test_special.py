@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gaussgap import special
+from gaussgap import special, verify
 from gaussgap.errors import ConvergenceError, DomainError, SeriesDivergenceError
 from gaussgap.special import (MAX_TERMS, double_factorial, euler_transform,
                               hyp2f1, hyp2f1_at_one, hyp2f1_derivative,
@@ -667,6 +667,42 @@ class TestCapCertificate:
     @pytest.mark.parametrize("z", [0.0, 1.0, 1.5, -0.5, math.nan])
     def test_declines_z_outside_the_open_interval(self, z):
         assert not special._cap_certain((0.05, 0.04), (0.5,), z)
+
+    def test_asked_once_per_unit_at_the_first_steady_round(self):
+        # one unit stops in the short blocks, two uncertified units at
+        # different z and a certified pair run into the steady blocks
+        asked = []
+        certain = special._cap_certain
+
+        def counting(nums, dens, z):
+            asked.append((tuple(nums), tuple(dens), z))
+            return certain(nums, dens, z)
+
+        short = ((-0.25, -0.45), (0.5,), 0.5625)
+        slow = [((0.25, 0.5), (0.5,), 0.99), ((-0.5, -0.25), (0.5,), 0.995)]
+        capped = ((0.05, 0.04), (0.5,), 1.0 - 1e-12)
+        series = [(*short, False), (*slow[0], True), (*capped, False),
+                  (*slow[1], False), (*capped, True)]
+        with mock.patch.object(special, "MAX_TERMS", 3000), \
+                mock.patch.object(special, "_BLOCK_MAX", 256):
+            lone = [special._sum_pfq([row])[0] for row in series]
+            with mock.patch.object(special, "_cap_certain", counting):
+                batch = special._sum_pfq(series)
+        assert sorted(asked) == sorted([*slow, capped])
+        assert [_described(r) for r in batch] == [_described(r) for r in lone]
+        # the first steady round starts at n = 1 + 256 - 64
+        assert [r.terms_used > 192 for r in lone] == [False, True, True,
+                                                      True, True]
+        assert [r.partial_value for r in (lone[2], lone[4])] == [None, None]
+
+    def test_default_grid_never_asks(self):
+        # the default grid's sums all stop in the short blocks
+        asked = []
+        with mock.patch.object(special, "_cap_certain",
+                               lambda *args: asked.append(args)):
+            table = verify.KeyTable(verify.SweepConfig().grid())
+        assert len(table._series) == 900
+        assert asked == []
 
     def test_at_the_real_cap(self):
         # near-one seed 1's key of alpha (-0.0967, -0.0923): at

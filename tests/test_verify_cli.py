@@ -909,6 +909,8 @@ def test_unopenable_output_exits_before_the_sweep(argv, monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "--alpha1=-3", "--jobs=1"],
     ["verify", "--rho=1.5", "--jobs=1"],
+    ["verify", "--seed=-1", "--jobs=1"],
+    ["verify", "--seed=18446744073709551616", "--jobs=1"],
     ["curve", "--alpha1=1", "--alpha2=1", "--rho-count=1"],
     ["curve", "--alpha1=1", "--alpha2=1", "--sigma1=0"]])
 def test_invalid_arguments_create_no_output(argv, tmp_path, capsys):
