@@ -92,6 +92,7 @@ def _spec_from_args(args) -> MomentSpec:
 
 
 def cmd_moment(args) -> int:
+    oracles.check_seed(args.seed)
     spec = _spec_from_args(args)
     if args.method == "series":
         est = moments.product_moment(spec)

@@ -121,15 +121,15 @@ def _first_stops(terms, sums, exact, screen: bool, work):
 
     Column 0 of ``terms`` and ``sums`` holds the term and partial sum
     carried into the block, and term i is stopped against the term and
-    partial sum before it.  ``exact`` is None where no row is in exact
-    mode, True where every row is, else the rows' flags; an exact row
-    stops only at a term that is exactly zero.  With ``screen``, a block
-    in which every row's terms share one sign and the smallest |t|
-    exceeds ``SERIES_EPS`` times the larger |S| at the block's two ends
-    is passed without the elementwise test.  Such a row's partial sums
-    are monotone, rounding included, so their largest |S| is at an end;
-    and as rounding is monotone, no term can meet the relative rule, and
-    none is zero.  ``work`` is scratch space of the block's shape.
+    partial sum before it.  ``exact`` is a list of the rows' flags; an
+    exact row stops only at a term that is exactly zero.  With
+    ``screen``, a block in which every row's terms share one sign and the
+    smallest |t| exceeds ``SERIES_EPS`` times the larger |S| at the
+    block's two ends is passed without the elementwise test.  Such a
+    row's partial sums are monotone, rounding included, so their largest
+    |S| is at an end; and as rounding is monotone, no term can meet the
+    relative rule, and none is zero.  ``work`` is scratch space of the
+    block's shape.
     """
     if screen:
         t = terms[:, 1:]
@@ -140,22 +140,20 @@ def _first_stops(terms, sums, exact, screen: bool, work):
         ends = np.maximum(np.abs(sums[:, 0]), np.abs(sums[:, -1]))
         if (least > SERIES_EPS * ends).all():
             return None
-    if exact is True:
-        return terms[:, 1:] == 0.0
     size = np.abs(terms, out=work)
     term = size[:, 1:]
     hit = term <= SERIES_EPS * np.abs(sums[:, :-1])
     hit &= term < size[:, :-1]
-    if exact is not None:
+    if any(exact):
         hit[exact] = terms[exact, 1:] == 0.0
     return hit
 
 
-def _end(results, place, kinds, u, kind, result) -> None:
-    """End unit u's F (``kind`` 0) or F - 1 row with ``result``."""
+def _end(results, place, u, kind, result) -> None:
+    """End unit u's F (``kind`` 0) or F - 1 row with ``result``, emptying
+    its slot in ``place``."""
     results[place[u][kind]] = result
     place[u][kind] = None
-    kinds[u] -= 1 - 3 * kind
 
 
 def _cap_certain(nums, dens, z: float) -> bool:
@@ -209,14 +207,12 @@ def _sum_pfq(series) -> list:
     """
     results = [None] * len(series)
     # Per unit of one z and parameters: the positions in ``series`` of its
-    # F and F - 1 rows (None once a row ends), its exactness, its kind (0:
-    # F - 1 only, 1: a pair, 2: no row, 3: F only; an F row adds 1 and an
-    # F - 1 row takes 2 away as it joins, and the reverse as it ends), and
-    # a column of ``state``: each row's carried term and partial sum, z and
-    # the parameters.  Rows equal as floats are equal bit for bit, as
-    # floats differ only as 0.0 and -0.0 and an F - 1 row with a zero z or
+    # F and F - 1 rows (None once a row ends), its exactness and a column
+    # of ``state``: each row's carried term and partial sum, z and the
+    # parameters.  Rows equal as floats are equal bit for bit, as floats
+    # differ only as 0.0 and -0.0 and an F - 1 row with a zero z or
     # numerator parameter joins no unit: its first term is 0.
-    place, exact, kinds, state = [], [], [], []
+    place, exact, state = [], [], []
     free = ({}, {})  # the units without an F row, without an F - 1 row
     for r, (nums, dens, z, skip_first) in enumerate(series):
         try:
@@ -243,10 +239,8 @@ def _sum_pfq(series) -> list:
             u = free[1 - kind][params] = len(place)
             place.append([None, None])
             exact.append(is_exact)
-            kinds.append(2)
             state.append([1.0, 1.0, 1.0, 1.0, *params])
         place[u][kind] = r
-        kinds[u] += 1 - 3 * kind
         state[u][2 * kind] = state[u][2 * kind + 1] = term
     if not place:
         return results
@@ -257,22 +251,26 @@ def _sum_pfq(series) -> list:
     #   ratio_i = z (p0 + k) (p1 + k) ... / (q0 + k) / ... / n,  k = n - 1,
     # and each row adds up its own, t_i = term * cumprod(ratio)_i and
     # S_i = total + cumsum(t)_i, in that order: the F row ratios 0 to
-    # w - 1, the F - 1 row 1 to w' (w' = w - 1 at the cap, else w).  Units
-    # are ordered [F - 1 only | pairs | F only], so each kind's rows in a
-    # group are one slice.  n is exact below 2**53; the steady blocks
-    # screen the stop rule, which short sums would waste.  Column 0 of a
-    # kind's terms and sums holds the carried term and partial sum.
+    # w - 1, the F - 1 row 1 to w' (w' = w - 1 at the cap, else w).  Each
+    # round drops the units left without a row and sorts the rest stably
+    # by kind, read from their rows, to [F - 1 only | pairs | F only], so
+    # each kind's rows in a group are one slice.  n is exact below 2**53;
+    # the steady blocks screen the stop rule, which short sums would
+    # waste.  Column 0 of a kind's terms and sums holds the carried term
+    # and partial sum.
     n, block, shape = 1, _BLOCK_START, None
-    while kinds.count(2) < len(kinds):
+    while True:
+        # -1: F - 1 only, 0: no row, 1: a pair, 2: F only
+        kinds = [2 * (f is not None) - (g is not None) for f, g in place]
+        keep = sorted(filter(kinds.__getitem__, range(len(kinds))),
+                      key=kinds.__getitem__)
+        if not keep:
+            return results
+        state = state[:, keep]
+        place, exact = ([xs[u] for u in keep] for xs in (place, exact))
         # the F rows are units a and on, the F - 1 rows those before b
-        a = kinds.count(0)
+        a = kinds.count(-1)
         b = a + kinds.count(1)
-        if 2 in kinds or kinds != sorted(kinds):
-            keep = sorted(range(len(kinds)), key=kinds.__getitem__)
-            del keep[b:len(kinds) - kinds.count(3)]
-            state = state[:, keep]
-            place, exact, kinds = ([xs[u] for u in keep]
-                                   for xs in (place, exact, kinds))
         steady = block == _BLOCK_MAX
         per = _BLOCK_MAX // block
         for lo in range(0, len(place), per):
@@ -324,7 +322,7 @@ def _sum_pfq(series) -> list:
                             partial_value=None if certain else float(
                                 state[2 * kind + 1, u]),
                             terms_used=MAX_TERMS + 1 - kind)
-                        _end(results, place, kinds, u, kind, error)
+                        _end(results, place, u, kind, error)
                     continue
                 if bufs[kind] is None:
                     # two arrays, not one block of both: a freed block of
@@ -343,10 +341,7 @@ def _sum_pfq(series) -> list:
                 terms[:, 1:] *= tq
                 np.add.accumulate(terms[:, 1:], axis=1, out=sums[:, 1:])
                 sums[:, 1:] += sq
-                flags = exact[x:y]
-                ex = (np.array(flags) if any(flags) and not all(flags)
-                      else all(flags) or None)
-                hit = _first_stops(terms, sums, ex, steady,
+                hit = _first_stops(terms, sums, exact[x:y], steady,
                                    scratch[:y - x, :width + 1])
                 stopped = None if hit is None else hit.any(axis=1)
                 stops = ([] if stopped is None
@@ -365,7 +360,7 @@ def _sum_pfq(series) -> list:
                     t_next = abs(terms.item(i, j + 1))
                     tail = (0.0 if exact[x + i]
                             else t_next / (1.0 - t_next / t_last))
-                    _end(results, place, kinds, x + i, kind,
+                    _end(results, place, x + i, kind,
                          SeriesResult(value, n + j, tail, exact[x + i]))
                 if len(stops) < y - x:
                     going = (np.isfinite(terms[:, -1])
@@ -377,12 +372,11 @@ def _sum_pfq(series) -> list:
                     tq[:, 0] = terms[:, -1]
                     sq[:, 0] = sums[:, -1]
                 for i in failed:
-                    _end(results, place, kinds, x + i, kind, DomainError(
+                    _end(results, place, x + i, kind, DomainError(
                         "series term or partial sum overflows float64; "
                         "exponents are too large"))
         n += min(block, MAX_TERMS + 1 - n)
         block = min(block * 2, _BLOCK_MAX)
-    return results
 
 
 def _sum_one(nums, dens, z: float, skip_first: bool = False) -> SeriesResult:

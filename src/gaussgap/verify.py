@@ -391,27 +391,21 @@ class KeyTable:
         else:
             g = self.series(spec, True)
             if not isinstance(g, GaussGapError):
-                try:
-                    g = moments_mod.gap_from(p, g)
-                except GaussGapError as exc:
-                    g = exc
+                g = _outcome(moments_mod.gap_from, p, g)
         if isinstance(g, GaussGapError):
             report = bounds_mod.error_report(math.nan, g)
         else:
             report = bounds_mod.check_gap(g, spec, self.factors(spec))
         flags = report.flags
 
-        moment = p
-        if not p_failed:
-            moment = self.series(spec, False)
-            if not isinstance(moment, GaussGapError):
-                try:
-                    moment = moments_mod.moment_from(p, moment).value
-                except GaussGapError as exc:
-                    moment = exc
+        moment = p if p_failed else self.series(spec, False)
+        if not isinstance(moment, GaussGapError):
+            moment = _outcome(moments_mod.moment_from, p, moment)
         if isinstance(moment, GaussGapError):
             flags += (bounds_mod.error_flag(moment),)
             moment = None
+        else:
+            moment = moment.value
 
         bound = report.bound
         case_tag = bound_lower = bound_upper = finite_lower = None
@@ -428,16 +422,17 @@ class KeyTable:
 
 
 def evaluate_point(spec: MomentSpec, index: int,
-                   oracle: OracleChoice = OracleChoice.NONE,
-                   mc_samples: int = DEFAULT_MC_SAMPLES,
-                   master_seed: int = DEFAULT_SEED,
+                   config: SweepConfig = SweepConfig(),
                    table: KeyTable | None = None) -> ReportRow:
-    """Check one grid point and attach any requested oracle columns.
+    """Check one grid point and attach the oracle columns that
+    ``config.oracle`` asks for.
 
     The row holds ``bounds.check_point(spec)`` and
     ``moments.product_moment(spec).value``, from the core that ``table``
     (built over the point's chunk, or over the point alone when None)
     composes, and the point's own index, correlation and oracle columns.
+    Monte Carlo draws ``config.mc_samples`` samples, seeded from
+    ``config.master_seed`` and ``index``; the grid lists are not read.
     """
     if table is None:
         table = KeyTable((spec,))
@@ -446,9 +441,9 @@ def evaluate_point(spec: MomentSpec, index: int,
 
     quad_value = quad_error = quad_dev = None
     mc_value = mc_error = mc_dev = None
-    if (oracle is not OracleChoice.NONE and moment is not None
+    if (config.oracle is not OracleChoice.NONE and moment is not None
             and math.isfinite(moment)):
-        if oracle.wants_quad:
+        if config.oracle.wants_quad:
             try:
                 est = oracles_mod.quad_product_moment(spec)
                 quad_value, quad_error = est.value, est.error_estimate
@@ -457,10 +452,11 @@ def evaluate_point(spec: MomentSpec, index: int,
                     flags += ("oracle-quad-mismatch",)
             except GaussGapError as exc:
                 flags += (f"oracle-quad-error:{type(exc).__name__}",)
-        if oracle.wants_mc:
+        if config.oracle.wants_mc:
             try:
                 cfg = oracles_mod.McConfig(
-                    mc_samples, oracles_mod.derive_seed(master_seed, index))
+                    config.mc_samples,
+                    oracles_mod.derive_seed(config.master_seed, index))
                 est = oracles_mod.mc_product_moment(spec, cfg)
                 mc_value, mc_error = est.value, est.error_estimate
                 mc_dev = abs(est.value - moment)
@@ -478,14 +474,12 @@ def evaluate_point(spec: MomentSpec, index: int,
 
 
 def _evaluate_chunk(specs: list[MomentSpec], start: int,
-                    oracle: OracleChoice, mc_samples: int,
-                    master_seed: int) -> list[ReportRow]:
+                    config: SweepConfig) -> list[ReportRow]:
     """Rows of consecutive grid points from index ``start`` on, from one
     ``KeyTable`` built over them all; each point goes through the
-    ``evaluate_point`` module attribute."""
+    ``evaluate_point`` module attribute with the sweep's ``config``."""
     table = KeyTable(specs)
-    return [evaluate_point(spec, index, oracle, mc_samples, master_seed,
-                           table)
+    return [evaluate_point(spec, index, config, table)
             for index, spec in enumerate(specs, start)]
 
 
@@ -498,14 +492,13 @@ def run_sweep(config: SweepConfig, jobs: int = 1,
 
     Serially the grid is one chunk with one ``KeyTable``.  With
     ``min(jobs, len(grid), os.cpu_count())`` workers above 1 a process
-    pool maps about eight chunks per worker, each with a table of its own;
-    the rows are the same bytes either way.  If the pool or one of its
-    workers cannot be started (``OSError``), one notice goes to stderr
-    and the grid runs serially.
+    pool maps about eight chunks per worker, each with a table of its own
+    and the whole ``config``; the rows are the same bytes either way.  If
+    the pool or one of its workers cannot be started (``OSError``), one
+    notice goes to stderr and the grid runs serially.
     """
     if grid is None:
         grid = config.grid()
-    settings = (config.oracle, config.mc_samples, config.master_seed)
     # The pool forks all its workers at once, so never more than there
     # are points or CPUs.
     workers = min(jobs, len(grid), os.cpu_count() or 1)
@@ -517,13 +510,13 @@ def run_sweep(config: SweepConfig, jobs: int = 1,
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 chunks = pool.map(_evaluate_chunk,
                                   [grid[i:i + size] for i in starts], starts,
-                                  *(repeat(x) for x in settings))
+                                  repeat(config))
                 rows = [row for chunk in chunks for row in chunk]
         except OSError as exc:
             print(f"gaussgap: no process pool ({exc}); evaluating "
                   f"{len(grid)} points serially", file=sys.stderr)
     if rows is None:
-        rows = _evaluate_chunk(grid, 0, *settings)
+        rows = _evaluate_chunk(grid, 0, config)
 
     return rows, summarize(rows)
 

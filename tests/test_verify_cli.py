@@ -16,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import gaussgap
-from gaussgap import bounds, cli, moments, special, verify
+from gaussgap import bounds, cli, moments, oracles, special, verify
 from gaussgap.errors import ConvergenceError, DomainError, GaussGapError
 from gaussgap.types import MomentSpec
 from gaussgap.verify import (CSV_COLUMNS, KeyTable, OracleChoice, ReportRow,
@@ -75,6 +75,26 @@ class TestSweep:
         cold = [evaluate_point(spec, i)
                 for i, spec in enumerate(config.grid())]
         assert rows == cold
+
+    def test_config_reaches_every_point(self):
+        # Monte Carlo, which is not refused above -1/2: a cold point given
+        # the sweep's config draws the sweep's samples from the seed of
+        # the config's master seed and the point's own index
+        config = SweepConfig(alpha1_values=(-0.1, 1.0, 2.5),
+                             alpha2_values=(0.5, 1.5),
+                             rho_values=(0.0, 0.5, -0.5, 0.95, -0.95),
+                             sigma1_values=(0.5, 2.0),
+                             sigma2_values=(1.0, 2.0),
+                             oracle=OracleChoice.MONTE_CARLO,
+                             mc_samples=1000, master_seed=99)
+        rows, _ = run_sweep(config, jobs=1)
+        cold = [evaluate_point(spec, i, config)
+                for i, spec in enumerate(config.grid())]
+        assert rows == cold
+        for i, (spec, row) in enumerate(zip(config.grid(), rows)):
+            drawn = oracles.mc_product_moment(
+                spec, oracles.McConfig(1000, oracles.derive_seed(99, i)))
+            assert row.oracle_mc_value == drawn.value
 
     def test_pool_oserror_falls_back_with_one_notice(self, monkeypatch,
                                                      capsys):
@@ -679,6 +699,16 @@ class TestCliMoment:
                                 "--rho", "1"], capsys)
         assert code == 0
         assert abs(json.loads(out.splitlines()[1])["value"] - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("method", ["series", "quadrature", "mc"])
+    def test_out_of_range_seed_exits_two(self, capsys, method, seed):
+        code, out, err = run_cli(["moment", "--alpha1", "1", "--alpha2", "1",
+                                  "--rho", "0.5", "--method", method,
+                                  f"--seed={seed}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
 
 
 class TestCliGap:
