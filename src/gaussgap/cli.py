@@ -1,17 +1,18 @@
 """Command-line front end.
 
 Subcommands: ``moment`` (one product moment by series, quadrature, or
-Monte Carlo), ``gap`` (gap plus its bound report at one point),
-``verify`` (grid sweep emitting JSON lines or CSV), ``curve`` (gap and
-bound values along a rho sweep, as CSV), and ``selftest`` (identity
-suites).
+Monte Carlo), ``gap`` (gap plus its bound report at one point, as a
+one-point sweep), ``verify`` (grid sweep emitting JSON lines or CSV),
+``curve`` (gap and bound values along a rho sweep, as CSV), and
+``selftest`` (identity suites).
 
 Exit codes: 0 success, 1 inequality or identity violation, 2 invalid
 arguments, 3 numerical convergence or accuracy failure.  The error type
 picks 2 or 3, whether it was raised or recorded in the ``verify.ReportRow``
 rows that ``gap``, ``verify`` and ``curve`` emit; those three share one
-rule, ``_exit_code``.  Diagnostics and machine-readable error objects go
-to stderr; results go to stdout or the ``--output`` file.
+rule, ``_exit_code``, on the sweep's rows and summary.  Diagnostics and
+machine-readable error objects go to stderr; results go to stdout or the
+``--output`` file.
 """
 
 from __future__ import annotations
@@ -73,13 +74,13 @@ def _output(path: str | None):
                           f"{exc.strerror}") from None
 
 
-def _exit_code(rows: list[ReportRow]) -> int:
-    """1 if a row that did not error is unsatisfied; 2 or 3 when every row
-    errored, by the first row's ``error:<Type>:`` flag, the way ``main``
-    maps a raised error; otherwise 0."""
-    if any(not row.satisfied and not row.errored for row in rows):
+def _exit_code(rows: list[ReportRow], summary: dict) -> int:
+    """1 if the sweep's ``summary`` counts a violation; 2 or 3 when every
+    row errored, by the first row's ``error:<Type>:`` flag, the way
+    ``main`` maps a raised error; otherwise 0."""
+    if summary["violations"]:
         return EXIT_VIOLATION
-    if all(row.errored for row in rows):
+    if summary["errored"] == summary["checked"]:
         first = next(f for f in rows[0].flags if f.startswith("error:"))
         bad_args = first.split(":")[1] in {e.__name__ for e in BAD_ARGS_ERRORS}
         return EXIT_BAD_ARGS if bad_args else EXIT_NO_CONVERGENCE
@@ -109,8 +110,8 @@ def cmd_moment(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    spec = _spec_from_args(args)
-    row = verify.evaluate_point(spec, 0)
+    rows, summary = run_sweep(SweepConfig(), grid=[_spec_from_args(args)])
+    row = rows[0]
     print(f"gap        = {row.gap:.10g}")
     print(f"regime     = {row.regime}"
           + (f" ({row.case_tag})" if row.case_tag else ""))
@@ -121,8 +122,8 @@ def cmd_gap(args) -> int:
     print(f"slack      = {row.slack:.10g}")
     print(f"satisfied  = {str(row.satisfied).lower()}"
           + (f"  flags={','.join(row.flags)}" if row.flags else ""))
-    RowWriter(sys.stdout).write(row)
-    return _exit_code([row])
+    RowWriter(sys.stdout).write_rows(rows)
+    return _exit_code(rows, summary)
 
 
 def cmd_verify(args) -> int:
@@ -144,7 +145,7 @@ def cmd_verify(args) -> int:
                     "errored={errored} oracle_mismatches={oracle_mismatches}"
                     .format(**summary))
     print(summary_line, file=sys.stderr if args.output is None else sys.stdout)
-    return _exit_code(rows)
+    return _exit_code(rows, summary)
 
 
 def cmd_curve(args) -> int:
@@ -157,10 +158,10 @@ def cmd_curve(args) -> int:
         sigma1_values=(args.sigma1,), sigma2_values=(args.sigma2,))
     grid = config.grid()
     with _output(args.output) as stream:
-        rows, _ = run_sweep(config, grid=grid)
+        rows, summary = run_sweep(config, grid=grid)
         RowWriter(stream, "csv", ("rho", "gap", "bound_lower",
                                   "bound_upper")).write_rows(rows)
-    return _exit_code(rows)
+    return _exit_code(rows, summary)
 
 
 def cmd_selftest(args) -> int:

@@ -17,12 +17,11 @@ term, never as a difference of two large moments.
 
 Sigma enters only through the prefactor P (``product_of_marginals``)
 and rho only through rho^2 (``series_factors``).  These functions compute
-both afresh at every call; a sweep keys them, P by (sigma1, sigma2,
-alpha1, alpha2) and F by (alpha1, alpha2, rho^2), in a table that lives
-as long as a chunk of the sweep (``verify.KeyTable``) and sums all of its
-series in one ``series_factors`` batch, and composes them with
-``moment_from`` and ``gap_from``, the same compositions
-``product_moment`` and ``gap`` use.
+both afresh at every call; each chunk of a sweep (``verify.row_cores``)
+computes P once per (sigma1, sigma2, alpha1, alpha2) and F once per
+(alpha1, alpha2, rho^2), all of its series in one ``series_factors``
+batch, and composes them with ``moment_from`` and ``gap_from``, the same
+compositions ``product_moment`` and ``gap`` use.
 
 Prefactors are assembled in log space so large exponents (alpha ~ 50)
 survive without overflow; beyond float range they raise ``DomainError``,

@@ -13,8 +13,9 @@ smaller the balance c - a - b, the more terms are needed.  On a 2-CPU
 Xeon host a long sum costs 13-15 ns a term alone and 10.5-12.5 ns as a
 row of a pair (below).  A series too close to 1 hits the term cap, or
 provably would (``_cap_certain``), and ends in ``ConvergenceError``
-rather than a low-accuracy value; an overflowing term or partial sum, or
-a non-positive integer denominator parameter, ends it in ``DomainError``.
+rather than a low-accuracy value; an overflowing term or partial sum, a
+non-positive integer denominator parameter, or a first term ratio that
+loses precision midway (``_first_ratio``), ends it in ``DomainError``.
 
 The loop sums a batch of series as the rows of 2-D blocks: a sweep sums
 all of a chunk's series in one call, and ``hyp2f1``, ``hyp2f1_minus_one``
@@ -43,6 +44,7 @@ row's, so a series has the same bits in any batch, paired or not.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -190,6 +192,41 @@ def _cap_certain(nums, dens, z: float) -> bool:
     return log_term > math.log(2.0 * SERIES_EPS * bound)
 
 
+# A float of at least this size is rounded within SERIES_EPS of itself:
+# a subnormal is rounded by up to half the least one.
+_PRECISE_MIN = math.ulp(0.0) / (2.0 * SERIES_EPS)
+
+
+def _first_ratio(nums, dens, z: float, skip_first: bool) -> float:
+    """The first term ratio z p0 p1 ... / q0 / q1 ..., in the blocks'
+    order of operations, or ``DomainError`` where it loses precision: z
+    and every numerator parameter are nonzero, a partial product rounds
+    below ``_PRECISE_MIN`` (to 0 included) or to inf, and the ratio's
+    magnitude, summed in logs, lies in the normal float64 range (for an
+    F row, whose sum carries the ratio only in proportion to its size,
+    in [``SERIES_EPS``, the largest float]).  The row's sum would be
+    off by more than ``SERIES_EPS`` and reported as converged.
+    """
+    ratio, precise = z, True
+    for p in nums:
+        ratio *= p
+        precise = precise and _PRECISE_MIN <= abs(ratio) < math.inf
+    for q in dens:
+        ratio /= q
+        precise = precise and _PRECISE_MIN <= abs(ratio) < math.inf
+    if not precise and z and all(nums):
+        log_size = (math.fsum(math.log(abs(x)) for x in (z, *nums))
+                    - math.fsum(math.log(abs(q)) for q in dens))
+        least = sys.float_info.min if skip_first else SERIES_EPS
+        if math.log(least) <= log_size <= math.log(sys.float_info.max):
+            raise DomainError(
+                f"the first term ratio of hyp{len(nums)}f{len(dens)} at "
+                f"z = {z} loses precision midway (a partial product rounds "
+                f"below {_PRECISE_MIN:.3g} or to inf); parameters too "
+                "small or too large")
+    return ratio
+
+
 # overflow is caught as a non-finite term or sum
 @np.errstate(over="ignore", invalid="ignore")
 def _sum_pfq(series) -> list:
@@ -218,17 +255,14 @@ def _sum_pfq(series) -> list:
         try:
             if not 0.0 < min(dens, default=1.0):  # > 0: no entry is <= 0
                 _check_lower(dens, f"hyp{len(nums)}f{len(dens)} lower")
+            ratio = _first_ratio(nums, dens, z, skip_first)
         except DomainError as error:
             results[r] = error.with_traceback(None)
             continue
         is_exact = any(map(_is_nonpos_int, nums))
         term = 1.0
         if skip_first:
-            term = z
-            for p in nums:
-                term *= p
-            for q in dens:
-                term /= q
+            term = ratio
             if term == 0.0:
                 results[r] = SeriesResult(0.0, 0, 0.0, is_exact)
                 continue

@@ -5,13 +5,13 @@ every point against its applicable gap bound, optionally compares the
 closed-form moment against the quadrature and Monte Carlo oracles, and
 emits one ``ReportRow`` per point in deterministic grid order.  A sweep
 follows the closed form P(sigma, alpha) * F(-a1/2, -a2/2; 1/2; rho^2).
-Each chunk of the grid fills a ``KeyTable`` before it composes any row:
-P and the bound's rho-free factors once per (sigma1, sigma2, alpha1,
-alpha2), then F - 1 and F once per (alpha1, alpha2, rho^2), all of the
-chunk's series in one batched sum.  A row's core, everything but its
-index, correlation and oracle columns, is composed once per (sigma1,
-sigma2, alpha1, alpha2, |rho|) and shared by both signs of rho;
-``evaluate_point`` adds the point's own columns.
+Each chunk of the grid composes its ``row_cores`` before any row: P and
+the bound's rho-free factors once per (sigma1, sigma2, alpha1, alpha2),
+then F - 1 and F once per (alpha1, alpha2, rho^2), all of the chunk's
+series in one batched sum, then each row's core, everything but its
+index, correlation and oracle columns, once per (sigma1, sigma2, alpha1,
+alpha2, |rho|), shared by both signs of rho; ``evaluate_point`` adds the
+point's own columns.  A single point is a one-point sweep.
 
 The fields of ``ReportRow`` are the output columns, in order: rows
 serialize to JSON lines with every field, or to CSV with a chosen list of
@@ -281,9 +281,6 @@ class RowWriter:
         self._pick = (None if columns == CSV_COLUMNS
                       else [CSV_COLUMNS.index(col) for col in columns])
 
-    def write(self, row: ReportRow) -> None:
-        self.write_rows((row,))
-
     def write_rows(self, rows) -> None:
         """Write a sequence of rows, ``WRITE_CHUNK`` at a time."""
         for start in range(0, len(rows), WRITE_CHUNK):
@@ -304,101 +301,63 @@ def _outcome(fn, *args):
         return exc.with_traceback(None)
 
 
-class KeyTable:
-    """The factors of one chunk's rows, after the closed form
-    P(sigma, alpha) * F(-a1/2, -a2/2; 1/2; rho^2), and the rows' cores.
+def row_cores(specs) -> dict:
+    """The cores of the rows of ``specs``: each point's ``ReportRow``
+    fields from ``regime`` to ``slack``, then its flags before any
+    oracle's, keyed by (sigma1, sigma2, alpha1, alpha2, |rho|).
 
-    P and the rho-free bound factors depend on (sigma1, sigma2, alpha1,
-    alpha2) only, F - 1 and F on (alpha1, alpha2, rho^2) only.  All of
-    them are computed when the table is built, through the module
-    attributes of ``moments`` and ``bounds``, before any row is composed:
-    first P and the bound factors per scale key, then every series key
-    the rows read in one ``moments.series_factors`` batch.  A row reads
-    the bound factors where P is finite, or at rho = 0, where its gap is
-    0 without P; a scale key that no row reads them for has none.  Each
-    entry is kept as its value or as the ``GaussGapError`` it raised (see
-    ``_outcome``).  A point whose key the table was not built with has
-    no entry.
+    After the closed form P(sigma, alpha) * F(-a1/2, -a2/2; 1/2; rho^2),
+    P and the rho-free bound factors are computed once per (sigma1,
+    sigma2, alpha1, alpha2), through the module attributes of ``moments``
+    and ``bounds``: the factors only where P is finite or at rho = 0,
+    where the gap is 0 without P.  Then F - 1 and F, once per (alpha1,
+    alpha2, rho^2), in one ``moments.series_factors`` batch.  A failed
+    factor is kept as its ``GaussGapError`` (see ``_outcome``).  Each
+    core has the compositions of ``bounds.check_point`` and
+    ``moments.product_moment`` and their order of errors: P before F,
+    the gap before its bound.  Every step from rho is even in rho, bit
+    for bit (rho * rho, rho == 0 and the bound's a1 * a2 * rho * rho), but
+    rho^2 rounds tiny correlations together (to 0 below about 1.5e-162)
+    where that product does not: so the key holds |rho|.
     """
+    scales, factors, wanted = {}, {}, {}
+    for spec in specs:
+        key = (spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2)
+        if key not in scales:
+            scales[key] = _outcome(moments_mod.product_of_marginals, spec)
+        p_failed = isinstance(scales[key], GaussGapError)
+        if key not in factors and (not p_failed or spec.rho == 0.0):
+            factors[key] = _outcome(bounds_mod.bound_factors, spec)
+        if not p_failed:
+            a1, a2, z = spec.alpha1, spec.alpha2, spec.rho * spec.rho
+            if spec.rho != 0.0:
+                wanted[a1, a2, z, True] = None
+            wanted[a1, a2, z, False] = None
+    series = dict(zip(wanted, moments_mod.series_factors(list(wanted))))
 
-    def __init__(self, specs):
-        firsts, at_zero = {}, set()
-        for spec in specs:
-            key = (spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2)
-            firsts.setdefault(key, spec)
-            if spec.rho == 0.0:
-                at_zero.add(key)
-        self._p, self._factors = {}, {}
-        for key, spec in firsts.items():
-            p = self._p[key] = _outcome(moments_mod.product_of_marginals,
-                                        spec)
-            if not isinstance(p, GaussGapError) or key in at_zero:
-                self._factors[key] = _outcome(bounds_mod.bound_factors, spec)
-        wanted = {}
-        for spec in specs:
-            if not isinstance(self.scale(spec), GaussGapError):
-                a1, a2, z = spec.alpha1, spec.alpha2, spec.rho * spec.rho
-                if spec.rho != 0.0:
-                    wanted[a1, a2, z, True] = None
-                wanted[a1, a2, z, False] = None
-        self._series = dict(zip(wanted,
-                                moments_mod.series_factors(list(wanted))))
-        self._cores = {}
-
-    def scale(self, spec: MomentSpec):
-        """P, ``moments.product_of_marginals``, or its error."""
-        return self._p[spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2]
-
-    def factors(self, spec: MomentSpec):
-        """``bounds.bound_factors`` or its error; only where P is finite or
-        a row sits at rho = 0."""
-        return self._factors[spec.sigma1, spec.sigma2, spec.alpha1,
-                             spec.alpha2]
-
-    def series(self, spec: MomentSpec, minus_one: bool):
-        """``moments.series_factor``: F - 1 when ``minus_one``, else F, or
-        its error.  Only where P is finite, and F - 1 only at rho != 0."""
-        return self._series[spec.alpha1, spec.alpha2, spec.rho * spec.rho,
-                            minus_one]
-
-    def core(self, spec: MomentSpec) -> tuple:
-        """The point's ``ReportRow`` fields from ``regime`` to ``slack``,
-        then its flags before any oracle's, composed once per (sigma1,
-        sigma2, alpha1, alpha2, |rho|).  Every step from rho is even in
-        it, bit for bit: rho * rho, rho == 0, and the bound's
-        a1 * a2 * rho * rho, a rounded product that only changes sign
-        with rho.  Not per rho^2, which rounds tiny correlations together
-        (to 0 below about 1.5e-162) where that product does not."""
-        key = (spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2,
-               abs(spec.rho))
-        try:
-            return self._cores[key]
-        except KeyError:
-            core = self._cores[key] = self._compose(spec)
-            return core
-
-    def _compose(self, spec: MomentSpec) -> tuple:
-        """``core`` from the table's factors, with the compositions of
-        ``bounds.check_point`` and ``moments.product_moment`` and their
-        order of errors: P before F, the gap before its bound, and no P
-        for the gap at rho = 0."""
-        p = self.scale(spec)
+    cores = {}
+    for spec in specs:
+        a1, a2, rho = spec.alpha1, spec.alpha2, spec.rho
+        key = (spec.sigma1, spec.sigma2, a1, a2)
+        if (*key, abs(rho)) in cores:
+            continue
+        p = scales[key]
         p_failed = isinstance(p, GaussGapError)
-        if spec.rho == 0.0:
+        if rho == 0.0:
             g = 0.0
         elif p_failed:
             g = p
         else:
-            g = self.series(spec, True)
+            g = series[a1, a2, rho * rho, True]
             if not isinstance(g, GaussGapError):
                 g = _outcome(moments_mod.gap_from, p, g)
         if isinstance(g, GaussGapError):
             report = bounds_mod.error_report(math.nan, g)
         else:
-            report = bounds_mod.check_gap(g, spec, self.factors(spec))
+            report = bounds_mod.check_gap(g, spec, factors[key])
         flags = report.flags
 
-        moment = p if p_failed else self.series(spec, False)
+        moment = p if p_failed else series[a1, a2, rho * rho, False]
         if not isinstance(moment, GaussGapError):
             moment = _outcome(moments_mod.moment_from, p, moment)
         if isinstance(moment, GaussGapError):
@@ -416,28 +375,27 @@ class KeyTable:
                 bound_upper = bound.upper
             if bound.swapped:
                 flags += ("swapped",)
-        return (report.regime, case_tag, moment, report.gap, bound_lower,
-                bound_upper, finite_lower, report.satisfied, report.slack,
-                flags)
+        cores[(*key, abs(rho))] = (
+            report.regime, case_tag, moment, report.gap, bound_lower,
+            bound_upper, finite_lower, report.satisfied, report.slack, flags)
+    return cores
 
 
-def evaluate_point(spec: MomentSpec, index: int,
-                   config: SweepConfig = SweepConfig(),
-                   table: KeyTable | None = None) -> ReportRow:
+def evaluate_point(spec: MomentSpec, index: int, config: SweepConfig,
+                   cores: dict) -> ReportRow:
     """Check one grid point and attach the oracle columns that
     ``config.oracle`` asks for.
 
     The row holds ``bounds.check_point(spec)`` and
-    ``moments.product_moment(spec).value``, from the core that ``table``
-    (built over the point's chunk, or over the point alone when None)
-    composes, and the point's own index, correlation and oracle columns.
-    Monte Carlo draws ``config.mc_samples`` samples, seeded from
-    ``config.master_seed`` and ``index``; the grid lists are not read.
+    ``moments.product_moment(spec).value``, from the point's core in
+    ``cores`` (``row_cores`` over the point's chunk), and the point's own
+    index, correlation and oracle columns.  Monte Carlo draws
+    ``config.mc_samples`` samples, seeded from ``config.master_seed`` and
+    ``index``; the grid lists are not read.
     """
-    if table is None:
-        table = KeyTable((spec,))
     (regime, case_tag, moment, gap, bound_lower, bound_upper, finite_lower,
-     satisfied, slack, flags) = table.core(spec)
+     satisfied, slack, flags) = cores[spec.sigma1, spec.sigma2, spec.alpha1,
+                                      spec.alpha2, abs(spec.rho)]
 
     quad_value = quad_error = quad_dev = None
     mc_value = mc_error = mc_dev = None
@@ -475,11 +433,11 @@ def evaluate_point(spec: MomentSpec, index: int,
 
 def _evaluate_chunk(specs: list[MomentSpec], start: int,
                     config: SweepConfig) -> list[ReportRow]:
-    """Rows of consecutive grid points from index ``start`` on, from one
-    ``KeyTable`` built over them all; each point goes through the
+    """Rows of consecutive grid points from index ``start`` on, from the
+    ``row_cores`` of them all; each point goes through the
     ``evaluate_point`` module attribute with the sweep's ``config``."""
-    table = KeyTable(specs)
-    return [evaluate_point(spec, index, config, table)
+    cores = row_cores(specs)
+    return [evaluate_point(spec, index, config, cores)
             for index, spec in enumerate(specs, start)]
 
 
@@ -490,12 +448,13 @@ def run_sweep(config: SweepConfig, jobs: int = 1,
     execution order or worker count.  ``grid`` is ``config.grid()``, for
     a caller that has built it already.
 
-    Serially the grid is one chunk with one ``KeyTable``.  With
-    ``min(jobs, len(grid), os.cpu_count())`` workers above 1 a process
-    pool maps about eight chunks per worker, each with a table of its own
-    and the whole ``config``; the rows are the same bytes either way.  If
-    the pool or one of its workers cannot be started (``OSError``), one
-    notice goes to stderr and the grid runs serially.
+    Serially the grid is one chunk, whose ``row_cores`` are composed
+    before its first row.  With ``min(jobs, len(grid), os.cpu_count())``
+    workers above 1 a process pool maps about eight chunks per worker,
+    each with cores of its own and the whole ``config``; the rows are the
+    same bytes either way.  If the pool or one of its workers cannot be
+    started (``OSError``), one notice goes to stderr and the grid runs
+    serially.
     """
     if grid is None:
         grid = config.grid()

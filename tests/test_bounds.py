@@ -332,13 +332,15 @@ def _count_calls(monkeypatch, module, name):
 
 
 class TestRhoFreeFactorCaches:
-    """A sweep's ``verify.KeyTable`` computes the rho-free factors once per
-    (sigma1, sigma2, alpha1, alpha2) and gives the bits of ``gap_bound``."""
+    """A sweep's ``verify.row_cores`` computes the rho-free factors once
+    per (sigma1, sigma2, alpha1, alpha2) and gives the bits of
+    ``gap_bound``."""
 
     @staticmethod
     def _bounds(specs):
-        table = verify.KeyTable(specs)
-        return [verify.evaluate_point(spec, 0, table=table) for spec in specs]
+        cores = verify.row_cores(specs)
+        return [verify.evaluate_point(spec, 0, verify.SweepConfig(), cores)
+                for spec in specs]
 
     def test_lower_bound_scale_shared_across_rho(self, monkeypatch):
         calls = _count_calls(monkeypatch, bounds, "bound_factors")

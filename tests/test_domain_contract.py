@@ -53,6 +53,12 @@ def large_degenerate_specs(draw):
                       draw(st.sampled_from((1.0, -1.0))))
 
 
+def one_point_row(spec):
+    """``verify.evaluate_point`` on ``spec`` as a one-point sweep."""
+    return verify.evaluate_point(spec, 0, verify.SweepConfig(),
+                                 verify.row_cores([spec]))
+
+
 def returns_or_raises_library_error(call, spec):
     """Call ``call(spec)`` with every warning an error and return its value;
     a ``GaussGapError`` counts as a documented outcome and gives None,
@@ -82,8 +88,7 @@ def test_check_point(spec):
 
 @given(specs())
 def test_evaluate_point(spec):
-    returns_or_raises_library_error(lambda s: verify.evaluate_point(s, 0),
-                                    spec)
+    returns_or_raises_library_error(one_point_row, spec)
 
 
 @given(specs())
@@ -95,7 +100,7 @@ def test_mc_product_moment(spec):
 
 
 @pytest.mark.parametrize("call", [
-    moments.gap, bounds.check_point, lambda s: verify.evaluate_point(s, 0)],
+    moments.gap, bounds.check_point, one_point_row],
     ids=["gap", "check_point", "evaluate_point"])
 @given(large_degenerate_specs())
 def test_large_degenerate_exponents(call, spec):
@@ -141,7 +146,7 @@ def test_huge_exponent_raises_domain_error(call):
 
 
 @pytest.mark.parametrize("call", [bounds.check_point,
-                                  lambda s: verify.evaluate_point(s, 0)],
+                                  one_point_row],
                          ids=["check_point", "evaluate_point"])
 def test_huge_exponent_is_an_error_row(call):
     report = call(HUGE)
@@ -176,7 +181,7 @@ def test_failed_prefactor_skips_the_bound_factors(monkeypatch):
     monkeypatch.setattr(bounds, "bound_factors",
                         lambda spec: calls.append(spec))
     spec = MomentSpec(1, 1, 2e9, -0.5, 0.5)
-    row = verify.evaluate_point(spec, 0)
+    row = one_point_row(spec)
     assert calls == []
     assert [f.split(":")[1] for f in row.flags] == ["DomainError"] * 2
     assert row.flags[0] == bounds.check_point(spec).flags[0]

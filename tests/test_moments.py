@@ -303,6 +303,13 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def _chunk_rows(specs):
+    """The rows of one sweep chunk over ``specs``, all at index 0."""
+    cores = verify.row_cores(specs)
+    return [verify.evaluate_point(spec, 0, verify.SweepConfig(), cores)
+            for spec in specs]
+
+
 class TestCorrelationFactor:
     def test_values_are_the_series(self):
         spec = MomentSpec(1, 1, 1.5, -0.5, 0.75)
@@ -312,14 +319,13 @@ class TestCorrelationFactor:
             special.hyp2f1_minus_one(-0.75, 0.25, 0.5, 0.5625)
 
     def test_other_scale_or_sign_hits(self, monkeypatch):
-        # one table: other scales and the other sign share both series,
+        # one chunk: other scales and the other sign share both series,
         # each summed once, as a row of one batch
         batches = _counting(monkeypatch, special, "_sum_pfq")
         specs = [MomentSpec(s1, s2, 1.5, -0.5, rho)
                  for s1, s2, rho in [(1.0, 1.0, 0.75), (0.5, 2.0, 0.75),
                                      (2.0, 1.0, -0.75), (1.0, 1.0, -0.75)]]
-        table = verify.KeyTable(specs)
-        rows = [verify.evaluate_point(spec, 0, table=table) for spec in specs]
+        rows = _chunk_rows(specs)
         assert batches == [([((-0.75, 0.25), (0.5,), 0.5625, True),
                              ((-0.75, 0.25), (0.5,), 0.5625, False)],)]
         for spec, row in zip(specs, rows):
@@ -445,13 +451,13 @@ class TestPrefactor:
         calls = _counting(monkeypatch, moments, "product_of_marginals")
         specs = [MomentSpec(0.5, 0.5, 1.5, -0.5, rho)
                  for rho in (0.0, 0.25, -0.25, 0.95, 1.0)]
-        table = verify.KeyTable(specs)
-        rows = [verify.evaluate_point(spec, 0, table=table) for spec in specs]
+        rows = _chunk_rows(specs)
         assert calls == [(specs[0],)]
         for spec, row in zip(specs, rows):
             assert (row.gap, row.moment) == (gap(spec),
                                              product_moment(spec).value)
-        assert table.scale(specs[0]) == product_of_marginals(specs[0])
+        # at rho = 0 F is 1, so the moment is the one P itself
+        assert rows[0].moment == product_of_marginals(specs[0])
 
 
 class TestGapDualPath:

@@ -347,6 +347,24 @@ class TestSeriesDiagnostics:
             hyp2f1(448.70869061483916, 222.29226294153736,
                    27.233666875872927, 0.5208076572560097)
 
+    @pytest.mark.parametrize("fn, args", [
+        # F = (1 - z)^(1/2) = 0.0316 (mpmath), and F - 1 = -0.968; z a
+        # rounds to the subnormal 5e-324, and times b to 0
+        (hyp2f1, (5e-324, -0.5, 5e-324, 0.999)),
+        (hyp2f1_minus_one, (5e-324, -0.5, 5e-324, 0.999)),
+        # F - 1 = 6.9315e-21 (mpmath); z a b is the subnormal 5e-321, which
+        # keeps 5 digits
+        (hyp2f1_minus_one, (1e-300, 1e-20, 1e-300, 0.5))])
+    def test_subnormal_first_ratio_is_an_error(self, fn, args):
+        with pytest.raises(DomainError, match="loses precision midway"):
+            fn(*args)
+
+    def test_precise_subnormal_partial_sums(self):
+        # z a b is half the least normal float, exactly: the sum is right
+        tiny = 2.2250738585072014e-308
+        assert hyp2f1(1.0, 0.5, 0.5, tiny).value == 1.0
+        assert hyp2f1_minus_one(1.0, 0.5, 0.5, tiny).value == tiny
+
 
 def _reference_sum(nums, dens, z, skip_first=False):
     """The block recurrence of ``special._sum_pfq`` read term by term in
@@ -697,11 +715,14 @@ class TestCapCertificate:
 
     def test_default_grid_never_asks(self):
         # the default grid's sums all stop in the short blocks
-        asked = []
+        asked, batches = [], []
+        summed = special._sum_pfq
         with mock.patch.object(special, "_cap_certain",
-                               lambda *args: asked.append(args)):
-            table = verify.KeyTable(verify.SweepConfig().grid())
-        assert len(table._series) == 900
+                               lambda *args: asked.append(args)), \
+             mock.patch.object(special, "_sum_pfq", lambda series: (
+                 batches.append(len(series)) or summed(series))):
+            verify.row_cores(verify.SweepConfig().grid())
+        assert batches == [900]
         assert asked == []
 
     def test_at_the_real_cap(self):

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -19,9 +20,9 @@ import gaussgap
 from gaussgap import bounds, cli, moments, oracles, special, verify
 from gaussgap.errors import ConvergenceError, DomainError, GaussGapError
 from gaussgap.types import MomentSpec
-from gaussgap.verify import (CSV_COLUMNS, KeyTable, OracleChoice, ReportRow,
+from gaussgap.verify import (CSV_COLUMNS, OracleChoice, ReportRow,
                              RowWriter, SweepConfig, evaluate_point,
-                             row_to_dict, run_sweep)
+                             row_cores, row_to_dict, run_sweep)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -30,6 +31,11 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def one_point(spec, index=0, config=SweepConfig()):
+    """The row of ``spec`` as a one-point sweep at ``index``."""
+    return evaluate_point(spec, index, config, row_cores([spec]))
 
 
 class TestSweep:
@@ -65,15 +71,14 @@ class TestSweep:
 
     def test_cached_sweep_matches_cold_points(self):
         # three scales and both signs of each |rho| share every series key;
-        # each cold point gets a table of its own
+        # each cold point is a one-point sweep at its own index
         config = SweepConfig(alpha1_values=(-0.5, 1.0, 2.5),
                              alpha2_values=(-0.9, 1.5),
                              rho_values=(0.0, 0.5, -0.5, 0.95, -0.95),
                              sigma1_values=(0.5, 2.0),
                              sigma2_values=(1.0, 2.0))
         rows, _ = run_sweep(config, jobs=1)
-        cold = [evaluate_point(spec, i)
-                for i, spec in enumerate(config.grid())]
+        cold = [one_point(spec, i) for i, spec in enumerate(config.grid())]
         assert rows == cold
 
     def test_config_reaches_every_point(self):
@@ -88,7 +93,7 @@ class TestSweep:
                              oracle=OracleChoice.MONTE_CARLO,
                              mc_samples=1000, master_seed=99)
         rows, _ = run_sweep(config, jobs=1)
-        cold = [evaluate_point(spec, i, config)
+        cold = [one_point(spec, i, config)
                 for i, spec in enumerate(config.grid())]
         assert rows == cold
         for i, (spec, row) in enumerate(zip(config.grid(), rows)):
@@ -208,11 +213,11 @@ class TestSweep:
 
 
 def _written(rows, fmt, columns=CSV_COLUMNS):
-    """What a ``RowWriter`` writes for ``rows``."""
+    """What a ``RowWriter`` writes for ``rows``, one call a row."""
     stream = io.StringIO()
     writer = RowWriter(stream, fmt, columns)
     for row in rows:
-        writer.write(row)
+        writer.write_rows([row])
     return stream.getvalue()
 
 
@@ -298,7 +303,7 @@ class TestWarmSweepBytes:
                              capsys)
         assert code == 0
 
-        cold = [evaluate_point(spec, i)
+        cold = [one_point(spec, i)
                 for i, spec in enumerate(self.CONFIG.grid())]
         lines = [_reference_line(row, fmt) for row in cold]
         if fmt == "csv":
@@ -367,14 +372,17 @@ class TestRowCore:
                          None, None, None, flags)
 
     def test_rows_are_the_point_calls(self, monkeypatch):
+        # each composition runs the bound test or reports the gap's error
+        # once, through verify's own bounds, whose check_gap calls the
+        # module's error_report unseen
         composed = []
-        compose = KeyTable._compose
 
-        def counting(table, spec):
-            composed.append(spec)
-            return compose(table, spec)
+        def counting(fn):
+            return lambda *args: composed.append(args) or fn(*args)
 
-        monkeypatch.setattr(KeyTable, "_compose", counting)
+        monkeypatch.setattr(verify, "bounds_mod", SimpleNamespace(**{
+            **vars(bounds), "check_gap": counting(bounds.check_gap),
+            "error_report": counting(bounds.error_report)}))
         grid = self.CONFIG.grid()
         rows, _ = run_sweep(self.CONFIG, jobs=1)
         # repr, so that -0.0 and nan count
@@ -409,7 +417,7 @@ class TestRowCore:
 
 class TestSerialization:
     def test_row_to_dict_is_the_per_field_mapping(self):
-        rows = [evaluate_point(spec, i) for i, spec
+        rows = [one_point(spec, i) for i, spec
                 in enumerate(TestWarmSweepBytes.CONFIG.grid())]
         base = rows[0]
         specials = (math.nan, math.inf, -math.inf, 0.0, -0.0, None)
@@ -435,21 +443,21 @@ class TestSerialization:
             if isinstance(v, str)}
 
     def test_json_row_has_all_fields(self):
-        row = evaluate_point(MomentSpec(1, 1, 1, 1, 0.5), 3)
+        row = one_point(MomentSpec(1, 1, 1, 1, 0.5), 3)
         d = row_to_dict(row)
         assert set(d) == set(CSV_COLUMNS)
         assert d["oracle_quad_value"] is None  # explicit null, not omitted
         json.dumps(d)  # must be serializable as-is
 
     def test_infinities_serialize_as_strings(self):
-        row = evaluate_point(MomentSpec(1, 1, -0.9, 0.05, 0.5), 0)
+        row = one_point(MomentSpec(1, 1, -0.9, 0.05, 0.5))
         d = row_to_dict(row)
         assert d["bound_lower"] == "-inf"
         text = json.dumps(d)
         assert "Infinity" not in text
 
     def test_csv_fields_align_with_header(self):
-        row = evaluate_point(MomentSpec(1, 1, -0.5, 2, 0.5), 1)
+        row = one_point(MomentSpec(1, 1, -0.5, 2, 0.5), 1)
         header, fields = csv.reader(io.StringIO(_written([row], "csv")))
         assert header == list(CSV_COLUMNS)
         assert len(fields) == len(CSV_COLUMNS)
@@ -551,10 +559,8 @@ class TestRowWriter:
         with mock.patch.object(verify, "WRITE_CHUNK", 3):
             writer = RowWriter(stream, fmt, tuple(columns))
             for batch in batches:
-                if isinstance(batch, list):
-                    writer.write_rows(batch)
-                else:
-                    writer.write(batch)
+                writer.write_rows(batch if isinstance(batch, list)
+                                  else [batch])
         rows = [row for batch in batches
                 for row in (batch if isinstance(batch, list) else [batch])]
         if fmt == "json":
@@ -569,7 +575,7 @@ class TestRowWriter:
             for row in rows]
 
     def test_chosen_columns(self):
-        row = evaluate_point(MomentSpec(1, 1, -0.5, 2, 0.5), 1)
+        row = one_point(MomentSpec(1, 1, -0.5, 2, 0.5), 1)
         text = _written([row, row], "csv", ("gap", "rho", "flags"))
         assert text.splitlines() == ["gap,rho,flags"] + [
             f"{row.gap!r},0.5,"] * 2
@@ -591,9 +597,8 @@ class TestRowWriter:
         assert out_file.read_text().endswith(f'"{flags}"\n')
 
 
-def test_stored_key_error_has_no_traceback(monkeypatch):
-    # near rho = 1 the sum needs far more than 5,000 terms; the stored
-    # error must not keep the failed sum's frames and numpy blocks alive
+def test_failed_key_sums_once_before_any_row(monkeypatch):
+    # near rho = 1 the sum needs far more than 5,000 terms
     monkeypatch.setattr(special, "MAX_TERMS", 5_000)
     batches = []
     summed = special._sum_pfq
@@ -604,39 +609,29 @@ def test_stored_key_error_has_no_traceback(monkeypatch):
 
     monkeypatch.setattr(special, "_sum_pfq", counting)
     specs = [MomentSpec(s1, 1, -0.3, -0.2, 0.999) for s1 in (0.5, 2.0)]
-    table = KeyTable(specs)
+    cores = row_cores(specs)
     # one sum per key, in one batch, before any row
     z = 0.999 * 0.999
     assert batches == [[((0.15, 0.1), (0.5,), z, True),
                         ((0.15, 0.1), (0.5,), z, False)]]
-    rows = [evaluate_point(spec, i, table=table)
+    rows = [evaluate_point(spec, i, SweepConfig(), cores)
             for i, spec in enumerate(specs)]
     assert len(batches) == 1
     for row in rows:
         assert [f.split(":")[1] for f in row.flags] == [
             "ConvergenceError"] * 2
-    for minus_one in (True, False):
-        stored = table.series(specs[1], minus_one)
-        assert isinstance(stored, ConvergenceError)
-        assert stored.__traceback__ is None
-    assert table.scale(specs[0]) == moments.product_of_marginals(specs[0])
-    assert table.factors(specs[0]) == bounds.bound_factors(specs[0])
 
 
-def test_stored_scale_error_has_no_traceback():
-    # the row at rho = 0 reads the bound factors, so the table computes
-    # them though P failed, and they fail on their own
+def test_failed_scale_rows_report_their_errors():
+    # the row at rho = 0 reads the bound factors though P failed, and they
+    # fail on their own
     specs = [MomentSpec(1, 1, 200, 200, 0.5), MomentSpec(1, 1, 200, 200, 0.0)]
-    table = KeyTable(specs)
-    rows = [evaluate_point(spec, 0, table=table) for spec in specs]
-    p, factors = table.scale(specs[0]), table.factors(specs[0])
-    assert factors is not p
-    with pytest.raises(DomainError) as raised:
-        bounds.bound_factors(specs[0])
-    assert str(factors) == str(raised.value)
-    for stored in (p, factors):
-        assert isinstance(stored, DomainError)
-        assert stored.__traceback__ is None
+    cores = row_cores(specs)
+    rows = [evaluate_point(spec, 0, SweepConfig(), cores) for spec in specs]
+    p, factors = [pytest.raises(DomainError, fn, specs[0]).value
+                  for fn in (moments.product_of_marginals,
+                             bounds.bound_factors)]
+    assert str(factors) != str(p)
     assert rows[0].flags == (f"error:DomainError:{p}",) * 2
     assert rows[1].flags == (f"error:DomainError:{factors}",
                              f"error:DomainError:{p}")
@@ -712,6 +707,28 @@ class TestCliMoment:
 
 
 class TestCliGap:
+    @pytest.mark.parametrize("point, flag", [
+        (["--alpha1=1", "--alpha2=1", "--rho=0.5"], None),
+        (["--alpha1=3", "--alpha2=-0.5", "--rho=0.75"], "swapped"),
+        (["--alpha1=200", "--alpha2=200", "--rho=0.5"], "error:DomainError:")])
+    def test_json_line_is_the_verify_row(self, point, flag, tmp_path,
+                                         capsys):
+        # a same-sign point, a swapped opposite-sign one and one whose
+        # every column errors
+        point += ["--sigma1=0.5", "--sigma2=2"]
+        gap_code, out, _ = run_cli(["gap", *point], capsys)
+        out_file = tmp_path / "row.jsonl"
+        verify_code, _, _ = run_cli(["verify", *point, "--jobs=1",
+                                     "--output", str(out_file)], capsys)
+        line = out_file.read_text()
+        assert out.splitlines(keepends=True)[-1] == line
+        assert gap_code == verify_code
+        flags = json.loads(line)["flags"]
+        if flag is None:
+            assert flags == []
+        else:
+            assert flags and all(f.startswith(flag) for f in flags)
+
     def test_report_fields(self, capsys):
         code, out, _ = run_cli(["gap", "--alpha1", "1", "--alpha2", "1",
                                 "--rho", "0.5"], capsys)
@@ -840,7 +857,7 @@ class TestCliVerify:
     def test_default_grid_pool_matches_committed_reference(
             self, tmp_path, capsys, monkeypatch):
         # two workers whatever the host's core count; each chunk of the
-        # grid has a key table of its own
+        # grid has row cores of its own
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         expected = json.loads(
             (REPO / "benchmarks" / "reference" / "expected.json").read_text()
