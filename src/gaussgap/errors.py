@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all gaussgap modules."""
+"""Exception hierarchy shared by all gaussgap modules, and the rule by which
+a column of results keeps each entry's first error (``keep_first``)."""
 
 
 class GaussGapError(Exception):
@@ -45,3 +46,13 @@ class InfiniteVarianceError(GaussGapError, ValueError):
 
     Use the quadrature oracle for exponents at or below -1/2.
     """
+
+
+def keep_first(errors: list, mask, error) -> None:
+    """Give each entry of the column ``errors`` that the boolean array
+    ``mask`` marks and that holds no error yet (None) the error
+    ``error(i)``: over columns, as at one point, an entry keeps the first
+    error of its composition."""
+    for i in mask.nonzero()[0].tolist():
+        if errors[i] is None:
+            errors[i] = error(i)

@@ -20,8 +20,8 @@ and rho only through rho^2 (``series_factors``).  These functions compute
 both afresh at every call; each chunk of a sweep (``verify.row_cores``)
 computes P once per (sigma1, sigma2, alpha1, alpha2) and F once per
 (alpha1, alpha2, rho^2), all of its series in one ``series_factors``
-batch, and composes them with ``moment_from`` and ``gap_from``, the same
-compositions ``product_moment`` and ``gap`` use.
+batch, and composes a column of gaps and one of moments with ``scaled``,
+which ``product_moment`` and ``gap`` call on one point.
 
 Prefactors are assembled in log space so large exponents (alpha ~ 50)
 survive without overflow; beyond float range they raise ``DomainError``,
@@ -33,8 +33,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import special
-from .errors import DomainError, GaussGapError, SeriesDivergenceError
+from .errors import (DomainError, GaussGapError, SeriesDivergenceError,
+                     keep_first)
 from .types import Estimate, MomentSpec
 
 _LOG_PI = math.log(math.pi)
@@ -106,23 +109,26 @@ def product_of_marginals(spec: MomentSpec) -> float:
                               - _LOG_PI)
 
 
-def _times(p: float, factor: float) -> float:
-    """p * factor, raising ``DomainError`` where a finite factor overflows."""
-    value = p * factor
-    if math.isinf(value) and math.isfinite(factor):
-        raise DomainError(f"P * {factor:.6g} overflows float64")
-    return value
+@np.errstate(over="ignore", invalid="ignore")
+def scaled(p, factors, errors: list) -> np.ndarray:
+    """P times each factor of the float64 column ``factors`` (``p`` a
+    float or a column).  An entry whose finite factor overflows gets
+    ``DomainError`` in ``errors`` unless it has one already (see
+    ``errors.keep_first``)."""
+    values = p * factors
+    keep_first(errors, np.isinf(values) & np.isfinite(factors),
+               lambda i: DomainError(f"P * {factors[i]:.6g} overflows "
+                                     "float64"))
+    return values
 
 
-def moment_from(p: float, series: special.SeriesResult) -> Estimate:
-    """P * F with P times the truncation bound of F as its error."""
-    return Estimate(_times(p, series.value),
-                    _times(p, series.truncation_error_estimate))
-
-
-def gap_from(p: float, tail: special.SeriesResult) -> float:
-    """P * (F - 1) from P and the summed F - 1."""
-    return _times(p, tail.value)
+def _scaled_at(p: float, *factors: float) -> list:
+    """``scaled`` at one point, raising the first error."""
+    errors = [None] * len(factors)
+    values = scaled(p, np.array(factors), errors).tolist()
+    for error in filter(None, errors):
+        raise error
+    return values
 
 
 def product_moment(spec: MomentSpec) -> Estimate:
@@ -132,7 +138,10 @@ def product_moment(spec: MomentSpec) -> Estimate:
     |rho| = 1 the value is +inf when alpha1 + alpha2 <= -1.  P is
     computed first, so where it overflows F is not summed.
     """
-    return moment_from(product_of_marginals(spec), series_factor(spec, False))
+    p = product_of_marginals(spec)
+    series = series_factor(spec, False)
+    return Estimate(*_scaled_at(p, series.value,
+                                series.truncation_error_estimate))
 
 
 def gap(spec: MomentSpec) -> float:
@@ -143,7 +152,9 @@ def gap(spec: MomentSpec) -> float:
     """
     if spec.rho == 0.0:
         return 0.0
-    return gap_from(product_of_marginals(spec), series_factor(spec, True))
+    (value,) = _scaled_at(product_of_marginals(spec),
+                          series_factor(spec, True).value)
+    return value
 
 
 def gap_via_3f2(spec: MomentSpec) -> float:

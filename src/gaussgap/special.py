@@ -197,6 +197,19 @@ def _cap_certain(nums, dens, z: float) -> bool:
 _PRECISE_MIN = math.ulp(0.0) / (2.0 * SERIES_EPS)
 
 
+def _in_order(x: float, nums, dens) -> tuple[float, bool]:
+    """x p0 p1 ... / q0 / q1 ..., in that order, and whether every
+    partial product is finite and at least ``_PRECISE_MIN`` in size."""
+    precise = True
+    for p in nums:
+        x *= p
+        precise = precise and _PRECISE_MIN <= abs(x) < math.inf
+    for q in dens:
+        x /= q
+        precise = precise and _PRECISE_MIN <= abs(x) < math.inf
+    return x, precise
+
+
 def _first_ratio(nums, dens, z: float, skip_first: bool) -> float:
     """The first term ratio z p0 p1 ... / q0 / q1 ..., in the blocks'
     order of operations, or ``DomainError`` where it loses precision: z
@@ -206,14 +219,18 @@ def _first_ratio(nums, dens, z: float, skip_first: bool) -> float:
     F row, whose sum carries the ratio only in proportion to its size,
     in [``SERIES_EPS``, the largest float]).  The row's sum would be
     off by more than ``SERIES_EPS`` and reported as converged.
+
+    An F - 1 row (``skip_first``), whose first term is this ratio, takes
+    it as (p0 p1 ... / q0 / ...) z where that order keeps every partial
+    product, z's included, precise: a tiny z (rho near 1e-155) would lose
+    it in z p0 first.
     """
-    ratio, precise = z, True
-    for p in nums:
-        ratio *= p
-        precise = precise and _PRECISE_MIN <= abs(ratio) < math.inf
-    for q in dens:
-        ratio /= q
-        precise = precise and _PRECISE_MIN <= abs(ratio) < math.inf
+    ratio, precise = _in_order(z, nums, dens)
+    if not precise and skip_first:
+        other, exact = _in_order(1.0, nums, dens)
+        other *= z
+        if exact and _PRECISE_MIN <= abs(other) < math.inf:
+            return other
     if not precise and z and all(nums):
         log_size = (math.fsum(math.log(abs(x)) for x in (z, *nums))
                     - math.fsum(math.log(abs(q)) for q in dens))

@@ -8,10 +8,12 @@ follows the closed form P(sigma, alpha) * F(-a1/2, -a2/2; 1/2; rho^2).
 Each chunk of the grid composes its ``row_cores`` before any row: P and
 the bound's rho-free factors once per (sigma1, sigma2, alpha1, alpha2),
 then F - 1 and F once per (alpha1, alpha2, rho^2), all of the chunk's
-series in one batched sum, then each row's core, everything but its
-index, correlation and oracle columns, once per (sigma1, sigma2, alpha1,
-alpha2, |rho|), shared by both signs of rho; ``evaluate_point`` adds the
-point's own columns.  A single point is a one-point sweep.
+series in one batched sum, then the rows' cores, everything but their
+index, correlation and oracle columns, one per (sigma1, sigma2, alpha1,
+alpha2, |rho|) and shared by both signs of rho, in one pass of numpy
+columns (gap, moment, bound ends, verdict and slack) with the IEEE
+operations and order of the one-point routines; ``evaluate_point`` adds
+the point's own columns.  A single point is a one-point sweep.
 
 The fields of ``ReportRow`` are the output columns, in order: rows
 serialize to JSON lines with every field, or to CSV with a chosen list of
@@ -21,12 +23,13 @@ cells holding a comma, a quote or a line break are quoted (RFC 4180).
 ``RowWriter`` streams rows in either format, one fixed layout per format,
 a chunk of rows and a column at a time: each column encodes a distinct
 value once per writer, keyed by the value while the column's numbers
-keep one type (a chunk with another is encoded without the memo), and a
-chunk's lines are joined and written at once.  Its bytes are those of ``row_to_dict``
-and the compact JSON encoder (or of the CSV cell rule) at a fraction of
-the cost: the default grid writes about 76,000 floats, of which about
-8,600 are distinct in their column.  ``summarize`` counts a sweep's
-rows in one pass.
+keep one type (a chunk with another is encoded without the memo, one
+of ints alone, the index, directly), and a chunk's lines are joined and
+written at once.  Its bytes are those of ``row_to_dict`` and the compact
+JSON encoder (or of the CSV cell rule) at a fraction of the cost: the
+default grid writes about 76,000 floats, of which about 8,600 are
+distinct in their column.  ``summarize`` counts a sweep's rows in one
+pass.
 """
 
 from __future__ import annotations
@@ -39,12 +42,16 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import attrgetter
 from typing import NamedTuple
+
+import numpy as np
 
 from . import bounds as bounds_mod
 from . import moments as moments_mod
 from . import oracles as oracles_mod
-from .errors import DomainError, GaussGapError
+from .errors import DomainError, GaussGapError, keep_first
+from .special import SeriesResult
 from .types import MomentSpec
 
 # Exponent grid exercising every bound regime: three negative values,
@@ -192,12 +199,12 @@ def _csv_text(value) -> str:
 
 
 def _reusable(value) -> bool:
-    """Whether a value's text may be stored under its key: not a float
-    zero, since 0.0 and -0.0 are one key, nor a NaN, which equals no key,
-    nor a tuple holding anything but strings, nor an int, the index, which
-    never repeats."""
+    """Whether a value's text may be stored under its key: not a NaN,
+    which equals no key, nor a tuple holding anything but strings, nor an
+    int, which a sweep never repeats (the index).  A float zero is
+    stored apart (see ``_Column``)."""
     if isinstance(value, float):
-        return value == value and value != 0.0
+        return value == value
     if isinstance(value, tuple):
         return all(isinstance(v, str) for v in value)
     return type(value) is not int
@@ -217,32 +224,49 @@ class _Column(dict):
     True, 1 and 1.0 are one key with three texts, so the stored numbers
     keep one type: the first that a chunk holds alone among int, float
     and bool.  A chunk holding any other number type is encoded cell by
-    cell without the memo.
+    cell without the memo, and one of ints alone (the index) directly.
+    0.0 and -0.0 are one key too: it stores None, and the sign of each
+    such cell's value picks one of the two texts.
     """
 
     def __init__(self, before: str, encode, after: str):
         super().__init__()
         self._before, self._encode, self._after = before, encode, after
         self._number = None  # the one number type stored, once pinned
+        self._zeros = None  # the texts of 0.0 and -0.0, once one is met
 
     def cell(self, value) -> str:
         return self._before + self._encode(value) + self._after
 
     def __missing__(self, value):
+        if value == 0.0 and type(value) is float:
+            self._zeros = (self.cell(0.0), self.cell(-0.0))
+            self[value] = None
+            return None
         text = self.cell(value)
         if _reusable(value):
             self[value] = text
         return text
 
     def cells(self, values) -> list[str]:
-        numbers = set(map(type, values)) - _NEVER_EQUAL
+        types = set(map(type, values))
+        if types == {int}:  # an int's text is its repr in either format
+            before, after = self._before, self._after
+            return [f"{before}{v!r}{after}" for v in values]
+        numbers = types - _NEVER_EQUAL
         if self._number is None and len(numbers) == 1 and numbers <= _NUMBERS:
             (self._number,) = numbers
         if numbers <= {self._number}:
             try:
-                return list(map(self.__getitem__, values))
+                cells = list(map(self.__getitem__, values))
             except TypeError:  # an unhashable value
                 pass
+            else:
+                i = -1
+                for _ in range(cells.count(None) if self._zeros else 0):
+                    i = cells.index(None, i + 1)
+                    cells[i] = self._zeros[math.copysign(1.0, values[i]) < 0]
+                return cells
         return list(map(self.cell, values))
 
 
@@ -301,83 +325,91 @@ def _outcome(fn, *args):
         return exc.with_traceback(None)
 
 
+def _floats(outcomes, errors: list, index, value=None) -> np.ndarray:
+    """The float64 column of ``outcomes[index[i]]``: each a float, or its
+    ``value(x)``, or nan where it is the ``GaussGapError`` computing it
+    raised, which becomes entry i's error unless it has one (see
+    ``errors.keep_first``)."""
+    failed = [isinstance(x, GaussGapError) for x in outcomes]
+    keep_first(errors, np.array(failed, dtype=bool)[index],
+               lambda i: outcomes[index[i]])
+    return np.array([math.nan if bad else value(x) if value else x
+                     for x, bad in zip(outcomes, failed)])[index]
+
+
 def row_cores(specs) -> dict:
     """The cores of the rows of ``specs``: each point's ``ReportRow``
     fields from ``regime`` to ``slack``, then its flags before any
     oracle's, keyed by (sigma1, sigma2, alpha1, alpha2, |rho|).
 
-    After the closed form P(sigma, alpha) * F(-a1/2, -a2/2; 1/2; rho^2),
     P and the rho-free bound factors are computed once per (sigma1,
-    sigma2, alpha1, alpha2), through the module attributes of ``moments``
-    and ``bounds``: the factors only where P is finite or at rho = 0,
-    where the gap is 0 without P.  Then F - 1 and F, once per (alpha1,
-    alpha2, rho^2), in one ``moments.series_factors`` batch.  A failed
-    factor is kept as its ``GaussGapError`` (see ``_outcome``).  Each
-    core has the compositions of ``bounds.check_point`` and
-    ``moments.product_moment`` and their order of errors: P before F,
-    the gap before its bound.  Every step from rho is even in rho, bit
-    for bit (rho * rho, rho == 0 and the bound's a1 * a2 * rho * rho), but
-    rho^2 rounds tiny correlations together (to 0 below about 1.5e-162)
-    where that product does not: so the key holds |rho|.
+    sigma2, alpha1, alpha2), the factors only where P is finite or at
+    rho = 0 (a gap of 0 without P), then F - 1 and F once per (alpha1,
+    alpha2, rho^2) in one ``moments.series_factors`` batch, all through
+    the modules' attributes; a failure is kept as its error (see
+    ``_outcome``).  Then one column pass, ``moments.scaled`` and
+    ``bounds.check_gaps``, composes the cores as ``product_moment`` and
+    ``check_point`` do, with their order of errors: P before F, the gap
+    before its bound.  Each step is even in rho, bit for bit, but rho^2
+    rounds tiny correlations together (to 0 below about 1.5e-162) where
+    the bound's a1 * a2 * rho * rho does not: so the key holds |rho|.
     """
-    scales, factors, wanted = {}, {}, {}
+    cores, quads, scales, factors, wanted = {}, {}, [], {}, {}
+    quad, tail, full = [], [], []  # per core: the indices of P, F - 1, F
     for spec in specs:
-        key = (spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2)
-        if key not in scales:
-            scales[key] = _outcome(moments_mod.product_of_marginals, spec)
-        p_failed = isinstance(scales[key], GaussGapError)
-        if key not in factors and (not p_failed or spec.rho == 0.0):
-            factors[key] = _outcome(bounds_mod.bound_factors, spec)
-        if not p_failed:
-            a1, a2, z = spec.alpha1, spec.alpha2, spec.rho * spec.rho
-            if spec.rho != 0.0:
-                wanted[a1, a2, z, True] = None
-            wanted[a1, a2, z, False] = None
-    series = dict(zip(wanted, moments_mod.series_factors(list(wanted))))
-
-    cores = {}
-    for spec in specs:
-        a1, a2, rho = spec.alpha1, spec.alpha2, spec.rho
-        key = (spec.sigma1, spec.sigma2, a1, a2)
-        if (*key, abs(rho)) in cores:
+        core = (spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2,
+                abs(spec.rho))
+        if core in cores:
             continue
-        p = scales[key]
-        p_failed = isinstance(p, GaussGapError)
-        if rho == 0.0:
-            g = 0.0
-        elif p_failed:
-            g = p
-        else:
-            g = series[a1, a2, rho * rho, True]
-            if not isinstance(g, GaussGapError):
-                g = _outcome(moments_mod.gap_from, p, g)
-        if isinstance(g, GaussGapError):
-            report = bounds_mod.error_report(math.nan, g)
-        else:
-            report = bounds_mod.check_gap(g, spec, factors[key])
-        flags = report.flags
+        cores[core] = None
+        q = quads.setdefault(core[:4], len(scales))
+        if q == len(scales):
+            scales.append(_outcome(moments_mod.product_of_marginals, spec))
+        p_failed = isinstance(scales[q], GaussGapError)
+        if q not in factors and (not p_failed or spec.rho == 0.0):
+            factors[q] = _outcome(bounds_mod.bound_factors, spec)
+        quad.append(q)
+        a1, a2, z = spec.alpha1, spec.alpha2, spec.rho * spec.rho
+        # -1: not summed
+        tail.append(-1 if p_failed or spec.rho == 0.0 else
+                    wanted.setdefault((a1, a2, z, True), len(wanted)))
+        full.append(-1 if p_failed else
+                    wanted.setdefault((a1, a2, z, False), len(wanted)))
+    # index -1: no series summed, and the P of a gap at rho = 0, which is
+    # 0 without P
+    series = moments_mod.series_factors(list(wanted)) + [
+        SeriesResult(0.0, 0, 0.0, True)]
+    scales.append(0.0)
+    keys = list(cores)
+    _, _, a1, a2, rho = map(np.array, zip(*keys))
+    quad, tail, full = map(np.array, (quad, tail, full))
 
-        moment = p if p_failed else series[a1, a2, rho * rho, False]
-        if not isinstance(moment, GaussGapError):
-            moment = _outcome(moments_mod.moment_from, p, moment)
-        if isinstance(moment, GaussGapError):
-            flags += (bounds_mod.error_flag(moment),)
-            moment = None
-        else:
-            moment = moment.value
+    gap_errors, moment_errors = [None] * len(keys), [None] * len(keys)
+    gaps = moments_mod.scaled(
+        _floats(scales, gap_errors, np.where(rho == 0.0, -1, quad)),
+        _floats(series, gap_errors, tail, attrgetter("value")), gap_errors)
+    gaps[[e is not None for e in gap_errors]] = math.nan
+    p = _floats(scales, moment_errors, quad)
+    values = moments_mod.scaled(p, _floats(
+        series, moment_errors, full, attrgetter("value")), moment_errors)
+    moments_mod.scaled(p, _floats(
+        series, moment_errors, full,
+        attrgetter("truncation_error_estimate")), moment_errors)
 
-        bound = report.bound
-        case_tag = bound_lower = bound_upper = finite_lower = None
-        if bound is not None:
-            case_tag, bound_lower = bound.case_tag, bound.lower
-            finite_lower = bound.finite_lower
-            if bound.upper < math.inf:
-                bound_upper = bound.upper
-            if bound.swapped:
-                flags += ("swapped",)
-        cores[(*key, abs(rho))] = (
-            report.regime, case_tag, moment, report.gap, bound_lower,
-            bound_upper, finite_lower, report.satisfied, report.slack, flags)
+    (regime, case_tag, lower, upper, finite_lower, satisfied, slack, flags,
+     swapped) = bounds_mod.check_gaps(
+         gaps, a1, a2, rho, [factors.get(q) for q in quad.tolist()],
+         gap_errors)
+    for i, error in enumerate(moment_errors):
+        if error is not None:
+            flags[i] += (bounds_mod.error_flag(error),)
+    for i in np.flatnonzero(swapped).tolist():
+        flags[i] += ("swapped",)
+    moment = np.where([e is not None for e in moment_errors], None,
+                      values.astype(object)).tolist()
+    # into the dict that found the distinct keys, not a second one
+    cores.update(zip(keys, zip(regime, case_tag, moment, gaps.tolist(), lower,
+                               upper, finite_lower, satisfied, slack, flags)))
     return cores
 
 

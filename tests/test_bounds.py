@@ -14,6 +14,8 @@ from gaussgap.errors import DomainError, SeriesDivergenceError
 from gaussgap.moments import gap
 from gaussgap.types import MomentSpec
 
+import reference_routes
+
 SAME_SIGN_ALPHAS = (-0.9, -0.5, -0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5)
 RHOS = (0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 0.95, -0.95)
 SIGMAS = (0.5, 1.0, 2.0)
@@ -295,6 +297,35 @@ class TestCheckPoint:
         assert rep.regime == "same-sign"
         assert rep.satisfied
         assert rep.bound.upper == math.inf
+
+
+# Points of every outcome of the bound test, some with int exponents,
+# whose overflow message prints them as given.
+_ONE_POINTS = [
+    MomentSpec(1, 1, 1, 1, 0.5), MomentSpec(1, 1, 2, 2, -0.77),
+    MomentSpec(1, 1, 3.0, 1.0, 0.5), MomentSpec(0.5, 2, -0.5, -0.5, 0.25),
+    MomentSpec(1, 2, 3, -0.5, -0.5), MomentSpec(1, 1, -0.5, 1, 0.5),
+    MomentSpec(1, 1, -0.5, 2, 0.0), MomentSpec(1, 1, 1.2, 3.4, 0.0),
+    MomentSpec(1, 1, 0.0, 1.3, 0.5), MomentSpec(1, 1, -0.6, -0.5, 1.0),
+    MomentSpec(1, 1, 2, 3, -1.0), MomentSpec(1, 1, 200, 200, 0.5),
+    MomentSpec(1, 1, 200, 200, 0.0), MomentSpec(1, 32, 100, 100, 0.5),
+    MomentSpec(1, 4, -0.5, 200, 0.5), MomentSpec(1, 4, -0.5, 200.0, -0.5),
+    MomentSpec(1, 1, 2000.5, 2000.5, 1.0)]
+
+
+@pytest.mark.parametrize("spec", _ONE_POINTS)
+def test_one_point_calls_are_the_scalar_reference(spec):
+    # by repr, so that -0.0, nan and the message texts count
+    assert repr(check_point(spec)) == repr(reference_routes.check_point(spec))
+    try:
+        want = reference_routes.interval(bounds.bound_factors(spec), spec)
+    except (DomainError, TypeError) as exc:  # TypeError: None factors
+        with pytest.raises(DomainError) as got:
+            gap_bound(spec)
+        if isinstance(exc, DomainError):
+            assert str(got.value) == str(exc)
+    else:
+        assert repr(gap_bound(spec)) == repr(want)
 
 
 class TestCheckPointTolerance:

@@ -364,6 +364,10 @@ class TestSeriesDiagnostics:
         tiny = 2.2250738585072014e-308
         assert hyp2f1(1.0, 0.5, 0.5, tiny).value == 1.0
         assert hyp2f1_minus_one(1.0, 0.5, 0.5, tiny).value == tiny
+        # z a rounds below the least precise size, a b / c z does not: the
+        # first term is taken in that order, and the next one underflows
+        z = 1.2e-155 * 1.2e-155
+        assert hyp2f1_minus_one(-10.0, -10.0, 0.5, z).value == 200.0 * z
 
 
 def _reference_sum(nums, dens, z, skip_first=False):
@@ -373,7 +377,10 @@ def _reference_sum(nums, dens, z, skip_first=False):
     t = term * cumprod(ratio), S = total + cumsum(t) within a block, and
     the stop rule against the term and partial sum before each term.  A
     stop whose partial sum before it is not finite, like a block that ends
-    on a term or partial sum that is not, raises ``DomainError``."""
+    on a term or partial sum that is not, raises ``DomainError``.  The
+    first term of F - 1 is taken in the blocks' order only: where that
+    order loses precision, ``special._first_ratio`` takes another or
+    refuses the row, so such rows are not compared here."""
     exact = any(p <= 0 and float(p).is_integer() for p in nums)
     first = 1 if skip_first else 0
     if skip_first:

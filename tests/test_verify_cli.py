@@ -12,17 +12,20 @@ from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gaussgap
 from gaussgap import bounds, cli, moments, oracles, special, verify
-from gaussgap.errors import ConvergenceError, DomainError, GaussGapError
+from gaussgap.errors import ConvergenceError, DomainError
 from gaussgap.types import MomentSpec
 from gaussgap.verify import (CSV_COLUMNS, OracleChoice, ReportRow,
                              RowWriter, SweepConfig, evaluate_point,
                              row_cores, row_to_dict, run_sweep)
+
+import reference_routes
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -329,10 +332,30 @@ class TestWarmSweepBytes:
                    for f in flags)
 
 
+# Exponents in (-1, 6], with 0 and the branch points 2 and 0.5, and some
+# whose P overflows at unit scales (or a bound end, at scale 1e-3);
+# correlations 0, tiny (squares that round to 0), 0.5 and 1, both signs.
+_EXPONENTS = st.one_of(
+    st.floats(-1.0, 6.0, exclude_min=True),
+    st.sampled_from((0.0, -0.5, 0.5, 2.0, 3.0)),
+    st.sampled_from((300.0, 400.5, 901.5)))
+_SMALL_GRIDS = st.builds(
+    lambda a1, a2, rho, s1, s2: SweepConfig(
+        alpha1_values=tuple(a1), alpha2_values=tuple(a2),
+        rho_values=tuple(rho), sigma1_values=tuple(s1),
+        sigma2_values=tuple(s2)),
+    st.lists(_EXPONENTS, min_size=1, max_size=3),
+    st.lists(_EXPONENTS, min_size=1, max_size=3),
+    st.lists(st.sampled_from((0.0, -0.0, 1e-162, -1e-162, 0.5, -0.5, 1.0,
+                              -1.0)), min_size=1, max_size=4),
+    st.lists(st.sampled_from((0.5, 1.0, 2.0)), min_size=1, max_size=2),
+    st.lists(st.sampled_from((1e-3, 1.0)), min_size=1, max_size=2))
+
+
 class TestRowCore:
     """A chunk composes each row's core once per (sigma1, sigma2, alpha1,
-    alpha2, |rho|), and every row is still the row of its own
-    ``bounds.check_point`` and ``moments.product_moment``."""
+    alpha2, |rho|), by column, and every row is still the row of the
+    scalar composition of one point (``reference_routes.point_row``)."""
 
     # Both zeros; the smallest subnormal and both signs of 1.5e-162, whose
     # squares are both 0 while a1 a2 rho rho of the default grid's 4.5 is
@@ -347,49 +370,25 @@ class TestRowCore:
                                      0.5, -0.5, 1.0, -1.0),
                          sigma1_values=(0.5, 2.0), sigma2_values=(1.0,))
 
-    @staticmethod
-    def _point_row(spec, index):
-        """The row from ``check_point`` and ``product_moment`` alone."""
-        report = bounds.check_point(spec)
-        flags = report.flags
-        try:
-            moment = moments.product_moment(spec).value
-        except GaussGapError as exc:
-            moment = None
-            flags += (bounds.error_flag(exc),)
-        bound = report.bound
-        case_tag = lower = upper = finite_lower = None
-        if bound is not None:
-            case_tag, lower = bound.case_tag, bound.lower
-            finite_lower = bound.finite_lower
-            upper = bound.upper if bound.upper < math.inf else None
-            if bound.swapped:
-                flags += ("swapped",)
-        return ReportRow(index, spec.sigma1, spec.sigma2, spec.alpha1,
-                         spec.alpha2, spec.rho, report.regime, case_tag,
-                         moment, report.gap, lower, upper, finite_lower,
-                         report.satisfied, report.slack, None, None, None,
-                         None, None, None, flags)
-
     def test_rows_are_the_point_calls(self, monkeypatch):
-        # each composition runs the bound test or reports the gap's error
-        # once, through verify's own bounds, whose check_gap calls the
-        # module's error_report unseen
+        # one column pass composes the chunk's cores, through verify's own
+        # bounds
         composed = []
 
-        def counting(fn):
-            return lambda *args: composed.append(args) or fn(*args)
+        def counting(gaps, *args):
+            composed.append(len(gaps))
+            return bounds.check_gaps(gaps, *args)
 
-        monkeypatch.setattr(verify, "bounds_mod", SimpleNamespace(**{
-            **vars(bounds), "check_gap": counting(bounds.check_gap),
-            "error_report": counting(bounds.error_report)}))
+        monkeypatch.setattr(verify, "bounds_mod", SimpleNamespace(
+            **{**vars(bounds), "check_gaps": counting}))
         grid = self.CONFIG.grid()
         rows, _ = run_sweep(self.CONFIG, jobs=1)
         # repr, so that -0.0 and nan count
         assert [repr(r) for r in rows] == [
-            repr(self._point_row(spec, i)) for i, spec in enumerate(grid)]
+            repr(reference_routes.point_row(spec, i))
+            for i, spec in enumerate(grid)]
         # -0.0 shares the core of 0.0 and -rho that of rho
-        assert len(composed) == len(grid) * 5 // 9
+        assert composed == [len(grid) * 5 // 9]
         # the tiny correlations keep their own bound ends
         tiny = {r.rho: r.bound_lower for r in rows
                 if (r.sigma1, r.alpha1, r.alpha2) == (0.5, 4.5, 4.5)}
@@ -398,6 +397,38 @@ class TestRowCore:
         assert regimes == {"trivial", "same-sign", "opposite-sign", "error"}
         assert any(r.gap == 0.0 and r.regime == "error" for r in rows)
         assert any(math.isnan(r.gap) for r in rows)
+
+    def test_core_values_are_python_types(self):
+        allowed = (float, bool, str, type(None), tuple)
+        for core in row_cores(self.CONFIG.grid()).values():
+            for value in core:
+                assert type(value) in allowed, (value, core)
+            for flag in core[-1]:
+                assert type(flag) is str
+
+    @settings(max_examples=40, deadline=None)
+    @given(_SMALL_GRIDS, st.integers(1, 5))
+    # errors of P, of P * F, of a bound end and of a certified cap, beside
+    # trivial and swapped rows; then vacuous-lower and gap-infinite ones
+    @example(SweepConfig(alpha1_values=(0.0, -0.1, 3.0, 300.0, 300.5),
+                         alpha2_values=(-0.5, -0.1, 3.0, 611.5),
+                         rho_values=(0.0, 0.5, -0.99999999, 1.0),
+                         sigma1_values=(1.0,), sigma2_values=(1e-3, 1.0)),
+             7)
+    @example(SweepConfig(alpha1_values=(-0.9, 0.5), alpha2_values=(-0.5, 0.25),
+                         rho_values=(0.0, 0.5, -1.0), sigma1_values=(0.5,),
+                         sigma2_values=(1e-3, 1.0)), 2)
+    def test_column_pass_is_the_scalar_composition(self, config, size):
+        grid = config.grid()
+        want = [repr(reference_routes.point_row(spec, i))
+                for i, spec in enumerate(grid)]
+        rows, _ = run_sweep(config, jobs=1, grid=grid)
+        assert [repr(r) for r in rows] == want
+        # the same grid split into chunks of ``size`` points
+        split = [row for start in range(0, len(grid), size)
+                 for row in verify._evaluate_chunk(grid[start:start + size],
+                                                   start, config)]
+        assert [repr(r) for r in split] == want
 
     @pytest.mark.parametrize("oracle", ["none", "mc"])
     def test_same_bytes_across_jobs(self, oracle, tmp_path, capsys):
@@ -729,6 +760,23 @@ class TestCliGap:
         else:
             assert flags and all(f.startswith(flag) for f in flags)
 
+    def test_tiny_correlation_gap_is_the_leading_term(self, capsys):
+        # z = rho^2 = 1.44e-310 is subnormal, and z a1/2 rounds below the
+        # least precise size, while z a1 a2 / 2 = 2.88e-308 is normal: the
+        # first term of F - 1 is taken as (a b / c) z.  The next term
+        # underflows, so the gap is P z a1 a2 / 2.
+        mpmath = pytest.importorskip("mpmath")
+        code, out, _ = run_cli(["gap", "--alpha1", "20", "--alpha2", "20",
+                                "--rho", "1.2e-155", "--sigma1", "1",
+                                "--sigma2", "1"], capsys)
+        assert code == 0
+        got = json.loads(out.splitlines()[-1])["gap"]
+        with mpmath.workdps(40):
+            rho = mpmath.mpf(1.2e-155)
+            p = mpmath.mpf(2) ** 20 * mpmath.gamma(10.5) ** 2 / mpmath.pi
+            want = p * rho ** 2 * 20 * 20 / 2
+            assert float(abs((got - want) / want)) < 1e-13
+
     def test_report_fields(self, capsys):
         code, out, _ = run_cli(["gap", "--alpha1", "1", "--alpha2", "1",
                                 "--rho", "0.5"], capsys)
@@ -1022,8 +1070,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["gap", "curve", "verify"])
     def test_violation_exits_one(self, command, capsys, monkeypatch):
-        # every row's gap is P * (F - 1) composed by moments.gap_from
-        monkeypatch.setattr(moments, "gap_from", lambda p, tail: -1.0)
+        # every row's gap is P * (F - 1) composed by moments.scaled
+        monkeypatch.setattr(moments, "scaled",
+                            lambda p, factors, errors: np.full(len(factors),
+                                                               -1.0))
         assert self._run(command, 1, capsys)[0] == 1
 
 
