@@ -12,12 +12,12 @@ from ``gap_bound``; the signs of the exponents pick its shape:
   scaled by a hypergeometric value G(1) at z = 1.  When G(1) diverges
   (alpha1 + alpha2 <= 1) the lower end is a vacuous -inf.
 
-``intervals`` builds a column of those intervals, and ``check_gaps``
-tests a column of gaps against them with the fixed absolute-plus-relative
-tolerance ``TOLERANCE * max(1, |gap|)``, so checks behave sensibly across
-many orders of magnitude.  It is the one bound test: a sweep's chunk
-calls it once for all its rows, and ``check_point`` is its one-point
-call, as ``gap_bound`` is that of ``intervals``.
+``interval`` gives the two ends from the rho-free ``bound_factors``, and
+``check_gap`` tests a gap against them with the fixed
+absolute-plus-relative tolerance ``TOLERANCE * max(1, |gap|)``, so
+checks behave sensibly across many orders of magnitude.  It is the one
+bound test: a sweep calls it once per row core, and ``check_point`` on
+one point.
 """
 
 from __future__ import annotations
@@ -25,14 +25,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from . import moments, special
 from .errors import (DomainError, GaussGapError, SeriesDivergenceError,
-                     keep_first)
+                     outcome)
 from .types import MomentSpec
 
-# Absolute-plus-relative tolerance of the bound test (``check_gaps``).
+# Absolute-plus-relative tolerance of the bound test (``check_gap``).
 TOLERANCE = 1e-9
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -132,13 +130,8 @@ def gap_bound(spec: MomentSpec) -> GapBound:
     if factors is None:
         raise DomainError(f"a zero exponent leaves no gap to bound, got "
                           f"({spec.alpha1}, {spec.alpha2})")
-    errors = [None]
-    (lower,), (upper,) = intervals(
-        np.array([spec.alpha1]), np.array([spec.alpha2]),
-        np.array([spec.rho]), [factors], errors)[:2]
-    for error in filter(None, errors):
-        raise error
-    return GapBound(lower.item(), upper.item(), factors[1], factors[3])
+    return GapBound(*interval(factors, spec.alpha1, spec.alpha2, spec.rho),
+                    factors[1], factors[3])
 
 
 def _finite_bound(value: float, exponents: tuple[float, float]) -> float:
@@ -209,115 +202,88 @@ def error_flag(exc: GaussGapError) -> str:
     return f"error:{type(exc).__name__}:{exc}"
 
 
-# The factors of an entry without a ``bound_factors`` tuple, and the
-# regimes and flags of the bound test by their codes.
-_NO_FACTORS = (0.0, None, None, False)
-_REGIMES = np.array(("same-sign", "opposite-sign", "trivial", "error"),
-                    dtype=object)
-_FLAGS = ((), ("vacuous-lower",), ("gap-infinite",))
-
-
-def _or_none(values: np.ndarray, none) -> list:
-    """``values`` as Python objects, None where ``none`` holds."""
-    return np.where(none, None, values.astype(object)).tolist()
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def intervals(a1, a2, rho, factors, errors: list) -> tuple:
-    """The ``gap_bound`` intervals, by column: at ``a1[i]``, ``a2[i]``,
-    ``rho[i]`` (float64 columns; each step is even in rho, bit for bit)
-    from ``factors[i]``, the point's ``bound_factors`` or the error
-    computing them raised.  Returns the lower and upper ends, whatever
-    an entry without an interval holds, and the factors' case tags and
-    swapped marks.  An entry keeps its first error in ``errors`` (see
-    ``errors.keep_first``): its own, the factors', then an end's
-    overflow."""
-    keep_first(errors, np.array([isinstance(f, GaussGapError)
-                                 for f in factors]), factors.__getitem__)
-    scale, case, g_at_one, swapped = zip(
-        *(f if type(f) is tuple else _NO_FACTORS for f in factors))
+def interval(factors, a1: float, a2: float, rho: float
+             ) -> tuple[float, float]:
+    """The ends (lower, upper) of the ``gap_bound`` interval at exponents
+    ``a1``, ``a2`` and correlation ``rho``, from the point's
+    ``bound_factors`` tuple; each step is even in rho, bit for bit.
+    Raises ``DomainError`` where an end overflows float64."""
+    scale, case, g_at_one, _ = factors
     # a1 a2 rho^2 times the scale: the same-sign lower end, and the
     # envelope's shared coefficient (negative for rho != 0)
-    coeff = a1 * a2 * rho * rho * np.array(scale) + 0.0
-    g_at_one = np.array(g_at_one, dtype=float)  # nan: no G(1)
-    far, no_far = coeff * g_at_one, np.isnan(g_at_one)
-    # the far end is not finite where the coefficient is not
-    keep_first(errors, ~np.isfinite(np.where(no_far, coeff, far)),
-               lambda i: DomainError(
-                   f"closed-form bound for exponents "
-                   f"{(a1[i].item(), a2[i].item())} overflows float64; "
-                   "exponents are too large"))
+    coeff = a1 * a2 * rho * rho * scale + 0.0
+    far = coeff if g_at_one is None else coeff * g_at_one
+    if not math.isfinite(far):
+        # the far end is not finite where the coefficient is not
+        _finite_bound(far, (a1, a2))  # raises
+    if case is not None:
+        return coeff, math.inf
     # Without G(1) (only with the positive exponent at most 2) the
     # diverging side is the lower end: it degrades to -inf.
-    same = np.array([c is not None for c in case])
-    near = np.maximum(a1, a2) <= 2.0
-    lower = np.where(same, coeff, np.where(
-        no_far, -math.inf, np.where(near, far, coeff)))
-    upper = np.where(same, math.inf, np.where(
-        no_far | near, coeff, np.where(0.0 < far, 0.0, far)))
-    return lower, upper, case, swapped
+    if g_at_one is None:
+        return -math.inf, coeff
+    if max(a1, a2) <= 2.0:
+        return far, coeff
+    return coeff, min(far, 0.0)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def check_gaps(gaps, a1, a2, rho, factors, errors: list) -> tuple:
-    """The one bound test, by column: each gap ``gaps[i]`` against its
-    interval from ``intervals(a1, a2, rho, factors, errors)``, where
-    ``errors[i]`` holds the gap's error or None.
+def _failed(g: float, exc: GaussGapError) -> tuple:
+    """The ``check_gap`` values of a point whose check raised ``exc``."""
+    return ("error", None, g, None, None, None, False, math.nan,
+            (error_flag(exc),), False)
 
-    An entry with an error (the gap's first) fails with its reason.
-    None factors leave nothing to bound ("trivial").  The rest are
+
+def check_gap(g, factors, a1: float, a2: float, rho: float) -> tuple:
+    """The one bound test, at one point: the gap ``g``, or the
+    ``GaussGapError`` computing it raised, against its ``gap_bound``
+    interval at ``a1``, ``a2``, ``rho`` from ``factors``, the point's
+    ``bound_factors`` or the error computing them raised.
+
+    An error (the gap's first, then the factors', then an end's
+    overflow) fails the point with its reason, and a failed gap reads
+    nan.  None factors leave nothing to bound ("trivial").  The rest are
     tested with the tolerance ``TOLERANCE * max(1, |gap|)``; an infinite
     gap (|rho| = 1, a non-integrable exponent sum) holds its bound
-    vacuously.  Returns the ``ReportRow`` columns from ``regime`` to
-    ``flags`` but the moment and gap, as lists of Python values (an
-    upper end +inf is None), and whether each interval was swapped.
+    vacuously.  Returns the ``ReportRow`` fields from ``regime`` to
+    ``flags`` but the moment, as plain values (an upper end +inf is
+    None), and whether the interval was swapped.
     """
-    lower, upper, case, swapped = intervals(a1, a2, rho, factors, errors)
+    if isinstance(g, GaussGapError):
+        return _failed(math.nan, g)
+    if factors is None:
+        # |X|^0 = 1 makes the two sides coincide; nothing to bound.
+        return "trivial", None, g, None, None, None, True, 0.0, (), False
+    if isinstance(factors, GaussGapError):
+        return _failed(g, factors)
+    try:
+        lower, upper = interval(factors, a1, a2, rho)
+    except GaussGapError as exc:
+        return _failed(g, exc)
+    if math.isinf(g):
+        satisfied, slack, flags = True, math.inf, ("gap-infinite",)
+    else:  # max(1, |g|) and min(below, above), spelled out: they run per core
+        size = abs(g)
+        tol = TOLERANCE * (size if size > 1.0 else 1.0)
+        satisfied = lower - tol <= g <= upper + tol
+        above, below = g - lower, upper - g
+        slack = above if above < below else below
+        flags = () if lower > -math.inf else ("vacuous-lower",)
     same = upper == math.inf
-    tol = TOLERANCE * np.maximum(1.0, np.abs(gaps))
-    infinite = np.isinf(gaps)
-    above, below = gaps - lower, upper - gaps
-    satisfied = ((lower - tol <= gaps) & (gaps <= upper + tol)) | infinite
-    slack = np.where(infinite, math.inf, np.where(above < below, above,
-                                                  below))
-    failed = np.array([e is not None for e in errors])
-    regime = np.where(failed, 3,
-                      np.where([f is None for f in factors], 2, ~same))
-    none = regime >= 2
-    flags = [(error_flag(e),) if e else _FLAGS[c] for e, c in zip(errors, (
-        np.where(none, 0, np.where(infinite, 2, lower == -math.inf))
-        .tolist()))]
-    return (_REGIMES[regime].tolist(),
-            _or_none(np.array(case, dtype=object), none),
-            _or_none(lower, none), _or_none(upper, none | same),
-            _or_none(lower > -math.inf, none),
-            np.where(none, ~failed, satisfied).tolist(),
-            np.where(none, np.where(failed, math.nan, 0.0), slack).tolist(),
-            flags, (np.array(swapped) & ~none).tolist())
-
-
-def _check_one(g: float, spec: MomentSpec, factors, error) -> BoundReport:
-    """``check_gaps`` at one point, as its ``BoundReport``."""
-    regime, case, lower, upper, _, satisfied, slack, flags, swapped = (
-        column[0] for column in check_gaps(
-            np.array([g]), np.array([spec.alpha1]), np.array([spec.alpha2]),
-            np.array([spec.rho]), [factors], [error]))
-    bound = None if lower is None else GapBound(
-        lower, math.inf if upper is None else upper, case, swapped)
-    return BoundReport(g, regime, bound, satisfied, slack, flags)
+    return ("same-sign" if same else "opposite-sign", factors[1], g, lower,
+            None if same else upper, lower > -math.inf, satisfied, slack,
+            flags, factors[3])
 
 
 def check_point(spec: MomentSpec) -> BoundReport:
-    """Test the gap against its ``gap_bound`` interval at one point (a
-    one-point ``check_gaps``).  An error becomes a failed-with-reason
-    report, so sweeps keep going; the gap's comes first, and then the
-    bound's factors are not computed."""
-    try:
-        g = moments.gap(spec)
-    except GaussGapError as exc:
-        return _check_one(math.nan, spec, None, exc)
-    try:
-        factors = bound_factors(spec)
-    except GaussGapError as exc:
-        factors = exc
-    return _check_one(g, spec, factors, None)
+    """Test the gap against its ``gap_bound`` interval at one point
+    (``check_gap``).  An error becomes a failed-with-reason report, so
+    sweeps keep going; the gap's comes first, and then the bound's
+    factors are not computed."""
+    g = outcome(moments.gap, spec)
+    factors = (None if isinstance(g, GaussGapError)
+               else outcome(bound_factors, spec))
+    (regime, case, g, lower, upper, _, satisfied, slack, flags,
+     swapped) = check_gap(g, factors, spec.alpha1, spec.alpha2, spec.rho)
+    bound = None if lower is None else GapBound(
+        lower, math.inf if upper is None else upper, case, swapped)
+    return BoundReport(g, regime, bound, satisfied, slack, flags)

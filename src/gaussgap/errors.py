@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all gaussgap modules, and the rule by which
-a column of results keeps each entry's first error (``keep_first``)."""
+"""Exception hierarchy shared by all gaussgap modules, and ``outcome``,
+which keeps an error as a value."""
 
 
 class GaussGapError(Exception):
@@ -48,11 +48,11 @@ class InfiniteVarianceError(GaussGapError, ValueError):
     """
 
 
-def keep_first(errors: list, mask, error) -> None:
-    """Give each entry of the column ``errors`` that the boolean array
-    ``mask`` marks and that holds no error yet (None) the error
-    ``error(i)``: over columns, as at one point, an entry keeps the first
-    error of its composition."""
-    for i in mask.nonzero()[0].tolist():
-        if errors[i] is None:
-            errors[i] = error(i)
+def outcome(fn, *args):
+    """``fn(*args)``, or the ``GaussGapError`` it raised.  The error is
+    stripped of its traceback, whose frames (those of a failed series
+    sum hold its numpy blocks) it would otherwise keep alive."""
+    try:
+        return fn(*args)
+    except GaussGapError as exc:
+        return exc.with_traceback(None)

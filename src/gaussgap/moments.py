@@ -20,8 +20,8 @@ and rho only through rho^2 (``series_factors``).  These functions compute
 both afresh at every call; each chunk of a sweep (``verify.row_cores``)
 computes P once per (sigma1, sigma2, alpha1, alpha2) and F once per
 (alpha1, alpha2, rho^2), all of its series in one ``series_factors``
-batch, and composes a column of gaps and one of moments with ``scaled``,
-which ``product_moment`` and ``gap`` call on one point.
+batch, and composes each point's gap and moment with ``scaled``, the
+overflow rule of ``product_moment`` and ``gap``.
 
 Prefactors are assembled in log space so large exponents (alpha ~ 50)
 survive without overflow; beyond float range they raise ``DomainError``,
@@ -33,11 +33,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import special
-from .errors import (DomainError, GaussGapError, SeriesDivergenceError,
-                     keep_first)
+from .errors import DomainError, GaussGapError, SeriesDivergenceError
 from .types import Estimate, MomentSpec
 
 _LOG_PI = math.log(math.pi)
@@ -109,26 +106,13 @@ def product_of_marginals(spec: MomentSpec) -> float:
                               - _LOG_PI)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def scaled(p, factors, errors: list) -> np.ndarray:
-    """P times each factor of the float64 column ``factors`` (``p`` a
-    float or a column).  An entry whose finite factor overflows gets
-    ``DomainError`` in ``errors`` unless it has one already (see
-    ``errors.keep_first``)."""
-    values = p * factors
-    keep_first(errors, np.isinf(values) & np.isfinite(factors),
-               lambda i: DomainError(f"P * {factors[i]:.6g} overflows "
-                                     "float64"))
-    return values
-
-
-def _scaled_at(p: float, *factors: float) -> list:
-    """``scaled`` at one point, raising the first error."""
-    errors = [None] * len(factors)
-    values = scaled(p, np.array(factors), errors).tolist()
-    for error in filter(None, errors):
-        raise error
-    return values
+def scaled(p: float, factor: float) -> float:
+    """P times a factor of the moment, ``DomainError`` where a finite
+    factor overflows float64."""
+    value = p * factor
+    if math.isinf(value) and math.isfinite(factor):
+        raise DomainError(f"P * {factor:.6g} overflows float64")
+    return value
 
 
 def product_moment(spec: MomentSpec) -> Estimate:
@@ -140,8 +124,8 @@ def product_moment(spec: MomentSpec) -> Estimate:
     """
     p = product_of_marginals(spec)
     series = series_factor(spec, False)
-    return Estimate(*_scaled_at(p, series.value,
-                                series.truncation_error_estimate))
+    return Estimate(scaled(p, series.value),
+                    scaled(p, series.truncation_error_estimate))
 
 
 def gap(spec: MomentSpec) -> float:
@@ -152,9 +136,7 @@ def gap(spec: MomentSpec) -> float:
     """
     if spec.rho == 0.0:
         return 0.0
-    (value,) = _scaled_at(product_of_marginals(spec),
-                          series_factor(spec, True).value)
-    return value
+    return scaled(product_of_marginals(spec), series_factor(spec, True).value)
 
 
 def gap_via_3f2(spec: MomentSpec) -> float:

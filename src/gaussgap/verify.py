@@ -5,14 +5,13 @@ every point against its applicable gap bound, optionally compares the
 closed-form moment against the quadrature and Monte Carlo oracles, and
 emits one ``ReportRow`` per point in deterministic grid order.  A sweep
 follows the closed form P(sigma, alpha) * F(-a1/2, -a2/2; 1/2; rho^2).
-Each chunk of the grid composes its ``row_cores`` before any row: P and
-the bound's rho-free factors once per (sigma1, sigma2, alpha1, alpha2),
-then F - 1 and F once per (alpha1, alpha2, rho^2), all of the chunk's
-series in one batched sum, then the rows' cores, everything but their
-index, correlation and oracle columns, one per (sigma1, sigma2, alpha1,
-alpha2, |rho|) and shared by both signs of rho, in one pass of numpy
-columns (gap, moment, bound ends, verdict and slack) with the IEEE
-operations and order of the one-point routines; ``evaluate_point`` adds
+Each chunk of the grid composes its ``row_cores`` before any row: P and,
+after the series, the bound's rho-free factors once per (sigma1, sigma2,
+alpha1, alpha2), F - 1 and F once per (alpha1, alpha2, rho^2) in one
+batched sum, then the rows' cores, everything but their index,
+correlation and oracle columns, one per (sigma1, sigma2, alpha1, alpha2,
+|rho|) and shared by both signs of rho, each by the one-point steps
+(``moments.scaled`` and ``bounds.check_gap``); ``evaluate_point`` adds
 the point's own columns.  A single point is a one-point sweep.
 
 The fields of ``ReportRow`` are the output columns, in order: rows
@@ -42,15 +41,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import attrgetter
 from typing import NamedTuple
-
-import numpy as np
 
 from . import bounds as bounds_mod
 from . import moments as moments_mod
 from . import oracles as oracles_mod
-from .errors import DomainError, GaussGapError, keep_first
+from .errors import DomainError, GaussGapError, outcome
 from .special import SeriesResult
 from .types import MomentSpec
 
@@ -315,101 +311,77 @@ class RowWriter:
             self._stream.write("".join(chain.from_iterable(zip(*cells))))
 
 
-def _outcome(fn, *args):
-    """``fn(*args)``, or the ``GaussGapError`` it raised.  The error is
-    stripped of its traceback, whose frames (those of a failed series
-    sum hold its numpy blocks) it would otherwise keep alive."""
-    try:
-        return fn(*args)
-    except GaussGapError as exc:
-        return exc.with_traceback(None)
-
-
-def _floats(outcomes, errors: list, index, value=None) -> np.ndarray:
-    """The float64 column of ``outcomes[index[i]]``: each a float, or its
-    ``value(x)``, or nan where it is the ``GaussGapError`` computing it
-    raised, which becomes entry i's error unless it has one (see
-    ``errors.keep_first``)."""
-    failed = [isinstance(x, GaussGapError) for x in outcomes]
-    keep_first(errors, np.array(failed, dtype=bool)[index],
-               lambda i: outcomes[index[i]])
-    return np.array([math.nan if bad else value(x) if value else x
-                     for x, bad in zip(outcomes, failed)])[index]
-
-
 def row_cores(specs) -> dict:
     """The cores of the rows of ``specs``: each point's ``ReportRow``
     fields from ``regime`` to ``slack``, then its flags before any
     oracle's, keyed by (sigma1, sigma2, alpha1, alpha2, |rho|).
 
-    P and the rho-free bound factors are computed once per (sigma1,
-    sigma2, alpha1, alpha2), the factors only where P is finite or at
-    rho = 0 (a gap of 0 without P), then F - 1 and F once per (alpha1,
-    alpha2, rho^2) in one ``moments.series_factors`` batch, all through
-    the modules' attributes; a failure is kept as its error (see
-    ``_outcome``).  Then one column pass, ``moments.scaled`` and
-    ``bounds.check_gaps``, composes the cores as ``product_moment`` and
-    ``check_point`` do, with their order of errors: P before F, the gap
-    before its bound.  Each step is even in rho, bit for bit, but rho^2
-    rounds tiny correlations together (to 0 below about 1.5e-162) where
-    the bound's a1 * a2 * rho * rho does not: so the key holds |rho|.
+    P is computed once per (sigma1, sigma2, alpha1, alpha2), then F - 1
+    and F once per (alpha1, alpha2, rho^2) in one
+    ``moments.series_factors`` batch (only the distinct |rho| per P are
+    held through it), then the bound factors once per P, only where P is
+    finite or at rho = 0 (a gap of 0 without P), all through the
+    modules' attributes; a failure is kept as its error.  Each core is
+    composed as ``product_moment`` and ``check_point`` compose a point,
+    with ``moments.scaled`` and ``bounds.check_gap``, and in their order
+    of errors: P before F, the gap before its bound.  Each step is even
+    in rho, bit for bit, but rho^2 rounds tiny correlations together (to
+    0 below about 1.5e-162) where the bound's a1 * a2 * rho * rho does
+    not: so the key holds |rho|.
     """
-    cores, quads, scales, factors, wanted = {}, {}, [], {}, {}
-    quad, tail, full = [], [], []  # per core: the indices of P, F - 1, F
+    quads, wanted = {}, {}
     for spec in specs:
-        core = (spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2,
-                abs(spec.rho))
-        if core in cores:
+        key = (spec.sigma1, spec.sigma2, spec.alpha1, spec.alpha2)
+        if key not in quads:
+            quads[key] = (outcome(moments_mod.product_of_marginals, spec),
+                          spec, {})
+        p, _, rhos = quads[key]
+        rho = abs(spec.rho)
+        if rho in rhos:
             continue
-        cores[core] = None
-        q = quads.setdefault(core[:4], len(scales))
-        if q == len(scales):
-            scales.append(_outcome(moments_mod.product_of_marginals, spec))
-        p_failed = isinstance(scales[q], GaussGapError)
-        if q not in factors and (not p_failed or spec.rho == 0.0):
-            factors[q] = _outcome(bounds_mod.bound_factors, spec)
-        quad.append(q)
-        a1, a2, z = spec.alpha1, spec.alpha2, spec.rho * spec.rho
-        # -1: not summed
-        tail.append(-1 if p_failed or spec.rho == 0.0 else
-                    wanted.setdefault((a1, a2, z, True), len(wanted)))
-        full.append(-1 if p_failed else
-                    wanted.setdefault((a1, a2, z, False), len(wanted)))
-    # index -1: no series summed, and the P of a gap at rho = 0, which is
-    # 0 without P
-    series = moments_mod.series_factors(list(wanted)) + [
-        SeriesResult(0.0, 0, 0.0, True)]
-    scales.append(0.0)
-    keys = list(cores)
-    _, _, a1, a2, rho = map(np.array, zip(*keys))
-    quad, tail, full = map(np.array, (quad, tail, full))
+        rhos[rho] = None
+        if not isinstance(p, GaussGapError):
+            a1, a2, z = spec.alpha1, spec.alpha2, rho * rho
+            if rho != 0.0:
+                wanted[a1, a2, z, True] = None
+            wanted[a1, a2, z, False] = None
+    series = dict(zip(wanted, moments_mod.series_factors(list(wanted))))
 
-    gap_errors, moment_errors = [None] * len(keys), [None] * len(keys)
-    gaps = moments_mod.scaled(
-        _floats(scales, gap_errors, np.where(rho == 0.0, -1, quad)),
-        _floats(series, gap_errors, tail, attrgetter("value")), gap_errors)
-    gaps[[e is not None for e in gap_errors]] = math.nan
-    p = _floats(scales, moment_errors, quad)
-    values = moments_mod.scaled(p, _floats(
-        series, moment_errors, full, attrgetter("value")), moment_errors)
-    moments_mod.scaled(p, _floats(
-        series, moment_errors, full,
-        attrgetter("truncation_error_estimate")), moment_errors)
-
-    (regime, case_tag, lower, upper, finite_lower, satisfied, slack, flags,
-     swapped) = bounds_mod.check_gaps(
-         gaps, a1, a2, rho, [factors.get(q) for q in quad.tolist()],
-         gap_errors)
-    for i, error in enumerate(moment_errors):
-        if error is not None:
-            flags[i] += (bounds_mod.error_flag(error),)
-    for i in np.flatnonzero(swapped).tolist():
-        flags[i] += ("swapped",)
-    moment = np.where([e is not None for e in moment_errors], None,
-                      values.astype(object)).tolist()
-    # into the dict that found the distinct keys, not a second one
-    cores.update(zip(keys, zip(regime, case_tag, moment, gaps.tolist(), lower,
-                               upper, finite_lower, satisfied, slack, flags)))
+    scaled, check_gap = moments_mod.scaled, bounds_mod.check_gap
+    cores = {}
+    for (s1, s2, a1, a2), (p, spec, rhos) in quads.items():
+        p_failed = isinstance(p, GaussGapError)
+        factors = (outcome(bounds_mod.bound_factors, spec)
+                   if not p_failed or 0.0 in rhos else None)
+        for rho in rhos:
+            if p_failed:
+                g = 0.0 if rho == 0.0 else p
+                moment = p
+            else:
+                z = rho * rho
+                g = 0.0 if rho == 0.0 else series[a1, a2, z, True]
+                if isinstance(g, SeriesResult):
+                    try:
+                        g = scaled(p, g.value)
+                    except GaussGapError as exc:
+                        g = exc
+                moment = full = series[a1, a2, z, False]
+                if isinstance(full, SeriesResult):
+                    try:
+                        moment = scaled(p, full.value)
+                        scaled(p, full.truncation_error_estimate)
+                    except GaussGapError as exc:
+                        moment = exc
+            (regime, case_tag, g, lower, upper, finite_lower, satisfied, slack,
+             flags, swapped) = check_gap(g, factors, a1, a2, rho)
+            if isinstance(moment, GaussGapError):
+                flags += (bounds_mod.error_flag(moment),)
+                moment = None
+            if swapped:
+                flags += ("swapped",)
+            cores[s1, s2, a1, a2, rho] = (
+                regime, case_tag, moment, g, lower, upper, finite_lower,
+                satisfied, slack, flags)
     return cores
 
 

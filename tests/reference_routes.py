@@ -5,12 +5,13 @@ results, so they live beside the tests rather than in ``gaussgap``:
 
 * ``hyp_integral_rep``, an independent route to 3F2 for the series
   evaluators;
-* the scalar composition of a report row, one point at a time
+* the composition of a report row, one point at a time
   (``point_row``): the gap and moment from P and the series factors,
   the bound interval and the bound test, with their order of errors.
-  The package composes the same numbers by column
-  (``moments.scaled``, ``bounds.check_gaps``), with the same IEEE
-  operations in the same order, so the two agree bit for bit.
+  The package composes the same numbers once per row core of a sweep
+  (``moments.scaled``, ``bounds.interval`` and ``bounds.check_gap``),
+  with the same IEEE operations in the same order, so the two agree
+  bit for bit; these copies keep the tests independent of that code.
 """
 
 import math

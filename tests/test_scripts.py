@@ -37,3 +37,44 @@ def test_gap_bound_curves(tmp_path, capsys):
     for row in envelope:
         g = float(row["gap"])
         assert float(row["bound_lower"]) <= g <= float(row["bound_upper"])
+
+
+_SOURCE = '''"""A module docstring
+over two lines."""
+
+# a comment line
+import math  # code with a comment
+
+
+class Thing:
+    """A class docstring."""
+
+    size = 1
+
+
+def f(x):
+    """A function
+    docstring."""
+    text = """a string
+    that is code"""
+    "a string statement after the first is code"
+    return math.sqrt(x) + len(text)
+'''
+
+
+def test_src_lines_counts_code_lines(capsys):
+    script = _load("src_lines")
+    # code: import, class, size, def, the two lines of text, the string
+    # statement, return
+    assert script.count_lines(_SOURCE) == (20, 8)
+    assert script.count_lines("") == (0, 0)
+
+    assert script.run([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    *modules, total = (line.split() for line in lines)
+    assert [m[0] for m in modules] == sorted(
+        p.name for p in script.PACKAGE.glob("*.py"))
+    assert total[0] == "total"
+    assert [int(v) for v in total[1:]] == [
+        sum(int(m[i]) for m in modules) for i in (1, 2)]
+    assert all(int(m[1]) >= int(m[2]) > 0 for m in modules)

@@ -12,7 +12,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -354,8 +353,8 @@ _SMALL_GRIDS = st.builds(
 
 class TestRowCore:
     """A chunk composes each row's core once per (sigma1, sigma2, alpha1,
-    alpha2, |rho|), by column, and every row is still the row of the
-    scalar composition of one point (``reference_routes.point_row``)."""
+    alpha2, |rho|), and every row is still the row of the reference
+    composition of one point (``reference_routes.point_row``)."""
 
     # Both zeros; the smallest subnormal and both signs of 1.5e-162, whose
     # squares are both 0 while a1 a2 rho rho of the default grid's 4.5 is
@@ -371,16 +370,15 @@ class TestRowCore:
                          sigma1_values=(0.5, 2.0), sigma2_values=(1.0,))
 
     def test_rows_are_the_point_calls(self, monkeypatch):
-        # one column pass composes the chunk's cores, through verify's own
-        # bounds
+        # one bound test per core, through verify's own bounds
         composed = []
 
-        def counting(gaps, *args):
-            composed.append(len(gaps))
-            return bounds.check_gaps(gaps, *args)
+        def counting(*args):
+            composed.append(args)
+            return bounds.check_gap(*args)
 
         monkeypatch.setattr(verify, "bounds_mod", SimpleNamespace(
-            **{**vars(bounds), "check_gaps": counting}))
+            **{**vars(bounds), "check_gap": counting}))
         grid = self.CONFIG.grid()
         rows, _ = run_sweep(self.CONFIG, jobs=1)
         # repr, so that -0.0 and nan count
@@ -388,7 +386,7 @@ class TestRowCore:
             repr(reference_routes.point_row(spec, i))
             for i, spec in enumerate(grid)]
         # -0.0 shares the core of 0.0 and -rho that of rho
-        assert composed == [len(grid) * 5 // 9]
+        assert len(composed) == len(grid) * 5 // 9
         # the tiny correlations keep their own bound ends
         tiny = {r.rho: r.bound_lower for r in rows
                 if (r.sigma1, r.alpha1, r.alpha2) == (0.5, 4.5, 4.5)}
@@ -406,6 +404,28 @@ class TestRowCore:
             for flag in core[-1]:
                 assert type(flag) is str
 
+    def test_moment_fails_after_a_finite_value(self, monkeypatch):
+        # P * F is finite but P times F's truncation bound overflows: the
+        # moment fails on its error estimate, after its value, while the
+        # gap P * (F - 1) and its verdict stand
+        monkeypatch.setattr(moments, "series_factors", lambda keys: [
+            special.SeriesResult(1.0, 3, 1e308, False)] * len(keys))
+        spec = MomentSpec(math.sqrt(10.0), 1.0, 2.0, 2.0, 0.5)
+        assert moments.product_of_marginals(spec) == pytest.approx(10.0)
+        with pytest.raises(DomainError) as info:
+            moments.product_moment(spec)
+        assert str(info.value) == "P * 1e+308 overflows float64"
+        (row,), _ = run_sweep(SweepConfig(
+            alpha1_values=(2.0,), alpha2_values=(2.0,), rho_values=(0.5,),
+            sigma1_values=(spec.sigma1,), sigma2_values=(1.0,)), jobs=1)
+        assert row.moment is None
+        assert row.flags == ("error:DomainError:P * 1e+308 overflows float64",)
+        report = bounds.check_point(spec)
+        assert (row.gap, row.regime, row.satisfied, row.slack) == (
+            report.gap, "same-sign", True, report.slack)
+        assert row.gap == pytest.approx(10.0)
+        assert repr(row) == repr(reference_routes.point_row(spec, 0))
+
     @settings(max_examples=40, deadline=None)
     @given(_SMALL_GRIDS, st.integers(1, 5))
     # errors of P, of P * F, of a bound end and of a certified cap, beside
@@ -418,7 +438,8 @@ class TestRowCore:
     @example(SweepConfig(alpha1_values=(-0.9, 0.5), alpha2_values=(-0.5, 0.25),
                          rho_values=(0.0, 0.5, -1.0), sigma1_values=(0.5,),
                          sigma2_values=(1e-3, 1.0)), 2)
-    def test_column_pass_is_the_scalar_composition(self, config, size):
+    def test_sweep_whole_and_in_chunks_is_the_reference_row(self, config,
+                                                            size):
         grid = config.grid()
         want = [repr(reference_routes.point_row(spec, i))
                 for i, spec in enumerate(grid)]
@@ -1071,9 +1092,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["gap", "curve", "verify"])
     def test_violation_exits_one(self, command, capsys, monkeypatch):
         # every row's gap is P * (F - 1) composed by moments.scaled
-        monkeypatch.setattr(moments, "scaled",
-                            lambda p, factors, errors: np.full(len(factors),
-                                                               -1.0))
+        monkeypatch.setattr(moments, "scaled", lambda p, factor: -1.0)
         assert self._run(command, 1, capsys)[0] == 1
 
 
