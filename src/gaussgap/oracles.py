@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,18 @@ class McConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_samples < MIN_MC_SAMPLES:
-            raise DomainError(f"n_samples must be at least {MIN_MC_SAMPLES}, "
-                              f"got {self.n_samples}")
+        check_sample_count(self.n_samples, "n_samples")
         check_seed(self.seed)
+
+
+def check_sample_count(n: int, name: str) -> None:
+    """Raise ``DomainError`` unless the count ``name`` = ``n`` is an
+    integer of at least ``MIN_MC_SAMPLES``."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if n < MIN_MC_SAMPLES:
+        raise DomainError(f"{name} must be at least {MIN_MC_SAMPLES}, "
+                          f"got {n}")
 
 
 def check_seed(seed: int) -> None:
@@ -229,16 +238,31 @@ def sample_bivariate(spec: MomentSpec, n: int, seed: int) -> np.ndarray:
 
     Uses the counter-based Philox generator keyed by ``seed``: the same
     seed reproduces the same stream regardless of how many other samplers
-    run concurrently.
+    run concurrently.  x1 = sigma1 * z0 and
+    x2 = sigma2 * (rho * z0 + sqrt(1 - rho^2) * z1) are composed in place
+    in the (2, n) buffer of the normals (z0, z1), with one n-length
+    temporary for rho * z0; the result is that buffer's transposed view,
+    and its ``.T`` the buffer itself.  Raises ``DomainError`` for n < 1
+    or where the buffer cannot be allocated.
     """
     if n <= 0:
         raise DomainError(f"sample count must be positive, got {n}")
     gen = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
-    z = gen.standard_normal((2, n))
-    x1 = spec.sigma1 * z[0]
-    x2 = spec.sigma2 * (spec.rho * z[0]
-                        + math.sqrt(1.0 - spec.rho * spec.rho) * z[1])
-    return np.column_stack((x1, x2))
+    try:
+        # numpy refuses a buffer of more than sys.maxsize bytes with a
+        # ValueError; refuse it here as the allocation it could not make
+        if n > sys.maxsize // 16:
+            raise MemoryError
+        xy = gen.standard_normal((2, n))
+        x1, x2 = xy
+        rho_x1 = spec.rho * x1
+    except MemoryError:
+        raise DomainError(f"{n} sample pairs do not fit in memory") from None
+    x2 *= math.sqrt(1.0 - spec.rho * spec.rho)
+    x2 += rho_x1
+    x2 *= spec.sigma2
+    x1 *= spec.sigma1
+    return xy.T
 
 
 def mc_product_moment(spec: MomentSpec, cfg: McConfig) -> Estimate:
@@ -247,7 +271,10 @@ def mc_product_moment(spec: MomentSpec, cfg: McConfig) -> Estimate:
     Requires min(alpha1, alpha2) > -1/2: below that the estimator has
     infinite variance and the quadrature oracle must be used instead.
     Raises ``DomainError`` where a sample, the mean or the variance leaves
-    the float64 range, as it does for exponents in the hundreds.
+    the float64 range, as it does for exponents in the hundreds, and
+    where the samples do not fit in memory.  The estimate is finished in
+    place in the (2, n) buffer of ``sample_bivariate``, so its peak is 3n
+    floats: the buffer and one n-length temporary.
     """
     if min(spec.alpha1, spec.alpha2) <= -0.5:
         raise InfiniteVarianceError(
@@ -255,9 +282,11 @@ def mc_product_moment(spec: MomentSpec, cfg: McConfig) -> Estimate:
             "infinite variance; use quad_product_moment")
     try:
         with np.errstate(over="raise", divide="raise"):
-            xy = sample_bivariate(spec, cfg.n_samples, cfg.seed)
-            vals = ((np.abs(xy[:, 0]) ** spec.alpha1)
-                    * (np.abs(xy[:, 1]) ** spec.alpha2))
+            xy = sample_bivariate(spec, cfg.n_samples, cfg.seed).T
+            vals, x2 = np.abs(xy, out=xy)
+            vals **= spec.alpha1
+            x2 **= spec.alpha2
+            vals *= x2
             mean = float(vals.mean())
             stderr = float(vals.std(ddof=1) / math.sqrt(cfg.n_samples))
     except FloatingPointError:

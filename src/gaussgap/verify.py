@@ -91,11 +91,8 @@ class SweepConfig:
         for name in ("alpha1", "alpha2", "rho", "sigma1", "sigma2"):
             if not getattr(self, f"{name}_values"):
                 raise DomainError(f"the {name} list is empty")
-        if (self.oracle.wants_mc
-                and self.mc_samples < oracles_mod.MIN_MC_SAMPLES):
-            raise DomainError(f"mc_samples must be at least "
-                              f"{oracles_mod.MIN_MC_SAMPLES}, got "
-                              f"{self.mc_samples}")
+        if self.oracle.wants_mc:
+            oracles_mod.check_sample_count(self.mc_samples, "mc_samples")
         oracles_mod.check_seed(self.master_seed)
 
     def grid(self) -> list[MomentSpec]:

@@ -11,16 +11,23 @@ results, so they live beside the tests rather than in ``gaussgap``:
   The package composes the same numbers once per row core of a sweep
   (``moments.scaled``, ``bounds.interval`` and ``bounds.check_gap``),
   with the same IEEE operations in the same order, so the two agree
-  bit for bit; these copies keep the tests independent of that code.
+  bit for bit; these copies keep the tests independent of that code;
+* the Monte Carlo estimate from an (n, 2) column stack of the pairs
+  (``sample_bivariate``, ``mc_product_moment``), with a fresh array for
+  each step.  The package finishes the same IEEE operations on the same
+  numbers in place in one (2, n) buffer, so the two agree bit for bit.
 """
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 
 from gaussgap import bounds, moments
 from gaussgap.bounds import BoundReport, GapBound
-from gaussgap.errors import AccuracyError, DomainError, GaussGapError
+from gaussgap.errors import (AccuracyError, DomainError, GaussGapError,
+                             InfiniteVarianceError)
+from gaussgap.oracles import McConfig
 from gaussgap.special import hyp2f1
 from gaussgap.types import Estimate, MomentSpec
 from gaussgap.verify import ReportRow
@@ -160,3 +167,35 @@ def point_row(spec: MomentSpec, index: int) -> ReportRow:
                      spec.alpha2, spec.rho, report.regime, case_tag, moment,
                      report.gap, lower, upper, finite_lower, report.satisfied,
                      report.slack, None, None, None, None, None, None, flags)
+
+
+def sample_bivariate(spec: MomentSpec, n: int, seed: int) -> np.ndarray:
+    """n Philox-drawn pairs, shape (n, 2), from fresh arrays."""
+    if n <= 0:
+        raise DomainError(f"sample count must be positive, got {n}")
+    gen = np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
+    z = gen.standard_normal((2, n))
+    x1 = spec.sigma1 * z[0]
+    x2 = spec.sigma2 * (spec.rho * z[0]
+                        + math.sqrt(1.0 - spec.rho * spec.rho) * z[1])
+    return np.column_stack((x1, x2))
+
+
+def mc_product_moment(spec: MomentSpec, cfg: McConfig) -> Estimate:
+    """Mean and standard error of |x1|^alpha1 |x2|^alpha2 over the
+    columns of ``sample_bivariate``."""
+    if min(spec.alpha1, spec.alpha2) <= -0.5:
+        raise InfiniteVarianceError(
+            f"exponents ({spec.alpha1}, {spec.alpha2}) give the sample mean "
+            "infinite variance; use quad_product_moment")
+    try:
+        with np.errstate(over="raise", divide="raise"):
+            xy = sample_bivariate(spec, cfg.n_samples, cfg.seed)
+            vals = ((np.abs(xy[:, 0]) ** spec.alpha1)
+                    * (np.abs(xy[:, 1]) ** spec.alpha2))
+            mean = float(vals.mean())
+            stderr = float(vals.std(ddof=1) / math.sqrt(cfg.n_samples))
+    except FloatingPointError:
+        raise DomainError("Monte Carlo estimate overflows float64; "
+                          "exponents are too large") from None
+    return Estimate(mean, stderr)

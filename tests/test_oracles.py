@@ -1,12 +1,15 @@
 """Tests for the quadrature and Monte Carlo oracles."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import reference_routes
 from gaussgap import special
-from gaussgap.errors import DomainError, InfiniteVarianceError
+from gaussgap.errors import DomainError, GaussGapError, InfiniteVarianceError
 from gaussgap.moments import abs_moment_1d, product_moment
 from gaussgap.oracles import (McConfig, derive_seed, mc_product_moment,
                               quad_product_moment, sample_bivariate)
@@ -141,6 +144,104 @@ class TestMcProductMoment:
             if abs(est.value - want) <= 3 * est.error_estimate:
                 hits += 1
         assert hits >= 45
+
+
+# The (2, n) in-place route against the (n, 2) column stack of
+# reference_routes:
+# int and float exponents, numpy's power fast paths (0.5, 2), rho = +-0
+# and +-1, a rho whose square underflows, and exponents whose samples,
+# mean or variance overflow.
+_ID_ALPHAS = (-0.49, -0.1, 0, 0.5, 1, 1.0, 2, 2.0, 3.0, 4.5, 150, 303.9)
+_ID_RHOS = (0.0, -0.0, 0.5, -0.5, 0.95, 1.0, -1.0, 1e-300)
+_ID_SCALES = ((1, 1), (11.3, 18.5), (0.5, 2))
+
+
+def _mc_outcome(route, spec, cfg):
+    """An estimate's value and error by ``.hex()``, or the error's type
+    and message."""
+    try:
+        est = route(spec, cfg)
+    except GaussGapError as exc:
+        return type(exc), str(exc)
+    return est.value.hex(), est.error_estimate.hex()
+
+
+class TestMcBitIdentity:
+    @pytest.mark.parametrize("scales", _ID_SCALES)
+    @pytest.mark.parametrize("rho", _ID_RHOS)
+    def test_estimate_matches_column_stack_route(self, scales, rho):
+        cfg = McConfig(1000, 12345)
+        for a1, a2 in itertools.product(_ID_ALPHAS, repeat=2):
+            spec = MomentSpec(*scales, a1, a2, rho)
+            assert (_mc_outcome(mc_product_moment, spec, cfg)
+                    == _mc_outcome(reference_routes.mc_product_moment,
+                                   spec, cfg)), spec
+
+    @pytest.mark.parametrize("spec", [
+        MomentSpec(1, 1, 300, 300, 0.5),
+        MomentSpec(11.3, 18.5, -0.49, 303.9, 0.0),
+    ])
+    def test_overflow_matches_column_stack_route(self, spec):
+        cfg = McConfig(1000, 1)
+        want = _mc_outcome(reference_routes.mc_product_moment, spec, cfg)
+        assert want[0] is DomainError
+        assert _mc_outcome(mc_product_moment, spec, cfg) == want
+
+    @pytest.mark.parametrize("rho", [0.0, -0.0, 0.3, -1.0])
+    def test_samples_match_column_stack(self, rho):
+        spec = MomentSpec(11.3, 18.5, 1, 1, rho)
+        got = sample_bivariate(spec, 1001, 7)
+        want = reference_routes.sample_bivariate(spec, 1001, 7)
+        assert got.shape == want.shape == (1001, 2)
+        assert got.tobytes() == want.tobytes()
+
+    def test_peak_is_three_floats_per_pair(self):
+        # the (2, n) buffer and one n-length temporary; the column-stack
+        # route peaks at six
+        n = 200_000
+        spec, cfg = MomentSpec(1, 1, 0.5, -0.1, 0.5), McConfig(n, 1)
+        mc_product_moment(spec, cfg)
+        tracemalloc.start()
+        try:
+            mc_product_moment(spec, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n + 64 * 1024
+
+
+class TestSampleCount:
+    @pytest.mark.parametrize("n", [1e6, 1000.0, True, "1000", None,
+                                   np.float64(2000)])
+    def test_non_integral_count_refused(self, n):
+        with pytest.raises(DomainError, match="n_samples must be an integer"):
+            McConfig(n, 1)
+
+    def test_numpy_integer_count_accepted(self):
+        cfg = McConfig(np.int64(1000), 1)
+        est = mc_product_moment(MomentSpec(1, 1, 1, 1, 0.5), cfg)
+        assert est == mc_product_moment(MomentSpec(1, 1, 1, 1, 0.5),
+                                        McConfig(1000, 1))
+
+    def test_oversized_count_is_domain_error(self):
+        # numpy refuses 2^63 bytes before it allocates anything
+        spec = MomentSpec(1, 1, 1, 1, 0.5)
+        for draw in (lambda: sample_bivariate(spec, 2 ** 62, 1),
+                     lambda: mc_product_moment(spec, McConfig(2 ** 62, 1))):
+            with pytest.raises(DomainError, match="do not fit in memory"):
+                draw()
+
+    def test_failed_allocation_is_domain_error(self, monkeypatch):
+        class NoMemory:
+            def __init__(self, bit_generator):
+                pass
+
+            def standard_normal(self, shape):
+                raise MemoryError
+
+        monkeypatch.setattr(np.random, "Generator", NoMemory)
+        with pytest.raises(DomainError, match="do not fit in memory"):
+            mc_product_moment(MomentSpec(1, 1, 1, 1, 0.5), McConfig(1000, 1))
 
 
 class TestDeriveSeed:

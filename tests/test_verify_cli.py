@@ -747,6 +747,15 @@ class TestCliMoment:
         assert code == 0
         assert abs(json.loads(out.splitlines()[1])["value"] - 1.0) < 1e-12
 
+    def test_oversized_mc_count_exits_two(self, capsys):
+        code, out, err = run_cli(["moment", "--alpha1", "1", "--alpha2", "1",
+                                  "--rho", "0.5", "--method", "mc",
+                                  f"--mc-samples={2 ** 62}", "--seed", "1"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     @pytest.mark.parametrize("method", ["series", "quadrature", "mc"])
     def test_out_of_range_seed_exits_two(self, capsys, method, seed):
@@ -975,6 +984,19 @@ class TestCliVerify:
         assert json.loads(err.splitlines()[-1])["error"] == "DomainError"
         # without Monte Carlo the sample count is not read
         SweepConfig(oracle=OracleChoice.QUADRATURE, mc_samples=0)
+
+    @pytest.mark.parametrize("samples", [1e4, 1000.0, True])
+    def test_non_integral_mc_samples_refused(self, samples):
+        with pytest.raises(DomainError, match="mc_samples must be an integer"):
+            SweepConfig(oracle=OracleChoice.MONTE_CARLO, mc_samples=samples)
+
+    def test_oversized_mc_count_flags_the_row(self):
+        config = SweepConfig(oracle=OracleChoice.MONTE_CARLO,
+                             mc_samples=2 ** 62)
+        rows, summary = run_sweep(config, 1, [MomentSpec(1, 1, 1, 1, 0.5)])
+        assert rows[0].flags == ("oracle-mc-refused:DomainError",)
+        assert rows[0].oracle_mc_value is None
+        assert summary["errored"] == 0
 
     @pytest.mark.parametrize("arg", ["--rho=", "--alpha1=-3"])
     def test_empty_or_out_of_range_list_exits_two(self, arg, capsys):
