@@ -49,9 +49,8 @@ class InfiniteVarianceError(GaussGapError, ValueError):
 
 
 def outcome(fn, *args):
-    """``fn(*args)``, or the ``GaussGapError`` it raised.  The error is
-    stripped of its traceback, whose frames (those of a failed series
-    sum hold its numpy blocks) it would otherwise keep alive."""
+    """``fn(*args)``, or the ``GaussGapError`` it raised, stripped of its
+    traceback so that a kept error keeps no frame of the call alive."""
     try:
         return fn(*args)
     except GaussGapError as exc:

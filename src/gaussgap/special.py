@@ -10,8 +10,8 @@ shrinking), so a sum whose ``SERIES_EPS`` multiple underflows to 0 stops
 at its first underflowed term.  No connection formulas are used, so
 convergence near z = 1 is genuinely slow: the closer z gets to 1 and the
 smaller the balance c - a - b, the more terms are needed.  On a 2-CPU
-Xeon host a long sum costs 13-15 ns a term alone and 10.5-12.5 ns as a
-row of a pair (below).  A series too close to 1 hits the term cap, or
+Xeon host a long sum costs 13-17 ns a term alone and 10.5-14 ns as a
+row of a pair (below), with the host's speed.  A series too close to 1 hits the term cap, or
 provably would (``_cap_certain``), and ends in ``ConvergenceError``
 rather than a low-accuracy value; an overflowing term or partial sum, a
 non-positive integer denominator parameter, or a first term ratio that
@@ -117,7 +117,7 @@ def double_factorial(n: int) -> int:
     return math.prod(range(n, 1, -2))
 
 
-def _first_stops(terms, sums, exact, screen: bool, work):
+def _first_stops(terms, sums, exact, screen: bool):
     """For each row of a block, whether each term stops the row's sum, or
     None when no term of the block does.
 
@@ -130,8 +130,7 @@ def _first_stops(terms, sums, exact, screen: bool, work):
     block's two ends is passed without the elementwise test.  Such a
     row's partial sums are monotone, rounding included, so their largest
     |S| is at an end; and as rounding is monotone, no term can meet the
-    relative rule, and none is zero.  ``work`` is scratch space of the
-    block's shape.
+    relative rule, and none is zero.
     """
     if screen:
         t = terms[:, 1:]
@@ -142,7 +141,7 @@ def _first_stops(terms, sums, exact, screen: bool, work):
         ends = np.maximum(np.abs(sums[:, 0]), np.abs(sums[:, -1]))
         if (least > SERIES_EPS * ends).all():
             return None
-    size = np.abs(terms, out=work)
+    size = np.abs(terms)
     term = size[:, 1:]
     hit = term <= SERIES_EPS * np.abs(sums[:, :-1])
     hit &= term < size[:, :-1]
@@ -307,9 +306,10 @@ def _sum_pfq(series) -> list:
     # by kind, read from their rows, to [F - 1 only | pairs | F only], so
     # each kind's rows in a group are one slice.  n is exact below 2**53;
     # the steady blocks screen the stop rule, which short sums would
-    # waste.  Column 0 of a kind's terms and sums holds the carried term
-    # and partial sum.
-    n, block, shape = 1, _BLOCK_START, None
+    # waste.  A group's ratios, terms and sums are new arrays of its
+    # round's shape; column 0 of a kind's terms and sums holds the carried
+    # term and partial sum.
+    n, block = 1, _BLOCK_START
     while True:
         # -1: F - 1 only, 0: no row, 1: a pair, 2: F only
         kinds = [2 * (f is not None) - (g is not None) for f, g in place]
@@ -335,30 +335,15 @@ def _sum_pfq(series) -> list:
                              state[5 + n_nums:, lo].tolist(),
                              float(state[4, lo])))
             w = 0 if certain else min(block, MAX_TERMS + 1 - n)
-            if shape != (hi - lo, w):
-                # all the old buffers go before the new ones are taken: a
-                # buffer kept across shapes would pin the C heap above the
-                # freed blocks after the call
-                idx = k = ratios = scratch = terms = sums = None
-                bufs = [None, None]
-                shape, base = (hi - lo, w), n
-                idx = np.arange(n, n + w + 1, dtype=np.float64)[None]
-                k = idx - 1.0
-                ratios = np.empty((hi - lo, w + 1))
-                scratch = np.empty(ratios.shape)
-            if base != n:
-                idx += n - base
-                k += n - base
-                base = n
-            np.add(k, p0, out=ratios)
+            k = np.arange(n - 1, n + w, dtype=np.float64)
+            ratios = k + p0
             ratios *= zc
             for j, pj in enumerate(rest, 1):
-                np.add(k, pj, out=scratch)
                 if j < n_nums:
-                    ratios *= scratch
+                    ratios *= k + pj
                 else:
-                    ratios /= scratch
-            ratios /= idx
+                    ratios /= k + pj
+            ratios /= k + 1.0
             for x, y, kind, width in ((max(lo, a), hi, 0, w),
                                       (lo, min(hi, b), 1,
                                        min(w, MAX_TERMS - n))):
@@ -375,12 +360,8 @@ def _sum_pfq(series) -> list:
                             terms_used=MAX_TERMS + 1 - kind)
                         _end(results, place, u, kind, error)
                     continue
-                if bufs[kind] is None:
-                    # two arrays, not one block of both: a freed block of
-                    # twice the size moves the C heap after the call
-                    bufs[kind] = (np.empty(ratios.shape),
-                                  np.empty(ratios.shape))
-                terms, sums = (v[:y - x, :width + 1] for v in bufs[kind])
+                terms = np.empty((y - x, width + 1))
+                sums = np.empty(terms.shape)
                 # the rows' carried terms and partial sums
                 tq = state[2 * kind, x:y, None]
                 sq = state[2 * kind + 1, x:y, None]
@@ -392,8 +373,7 @@ def _sum_pfq(series) -> list:
                 terms[:, 1:] *= tq
                 np.add.accumulate(terms[:, 1:], axis=1, out=sums[:, 1:])
                 sums[:, 1:] += sq
-                hit = _first_stops(terms, sums, exact[x:y], steady,
-                                   scratch[:y - x, :width + 1])
+                hit = _first_stops(terms, sums, exact[x:y], steady)
                 stopped = None if hit is None else hit.any(axis=1)
                 stops = ([] if stopped is None
                          else stopped.nonzero()[0].tolist())

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -616,6 +617,34 @@ class TestBlockKernelBitForBit:
                                     ((1e150, 1e150), (1.0,), 0.5, True)])
         assert [type(r) for r in results] == [ConvergenceError, DomainError]
         assert all(r.__traceback__ is None for r in results)
+
+
+class TestKernelAtProductionSize:
+    """``_sum_pfq`` with the real ``_BLOCK_MAX`` and ``MAX_TERMS``: the
+    steady blocks at their full shape."""
+
+    def test_pair_through_three_steady_blocks(self):
+        # the rows stop after 217,303 and 218,321 terms
+        series = [((0.25, 0.5), (0.5,), 0.9999, skip)
+                  for skip in (False, True)]
+        results = special._sum_pfq(series)
+        assert [r.terms_used for r in results] == [217_303, 218_321]
+        assert ([_described(r) for r in results]
+                == [_outcome(_reference_sum, *s) for s in series])
+
+    def test_peak_memory_of_a_long_pair(self):
+        # 421,224 and 422,919 terms: at most eight arrays of one steady
+        # block, its carried column included, live at once
+        series = [((0.25, 0.5), (0.5,), 0.99995, skip)
+                  for skip in (False, True)]
+        special._sum_pfq(series)
+        tracemalloc.start()
+        try:
+            special._sum_pfq(series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * (special._BLOCK_MAX + 1)
 
 
 def _cap_rows(a, b, c, z, layout):
